@@ -18,7 +18,7 @@ fi
 cargo run -p systolic-bench --bin validate_artifacts -- "$DIR"
 
 # The cross-backend speedup experiment must be present and must have
-# recorded at least the 5x host-wall-time win the kernel backend promises.
+# recorded at least the 5x host-wall-time win the columnar backend promises.
 E21="$DIR/BENCH_e21_backend_speedup.json"
 if [[ ! -f "$E21" ]]; then
   echo "missing $E21" >&2
@@ -29,7 +29,7 @@ if ! awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 5.0) }'; then
   echo "e21 speedup $SPEEDUP is below the required 5x" >&2
   exit 1
 fi
-echo "e21 kernel-vs-sim speedup: ${SPEEDUP}x (>= 5x)"
+echo "e21 columnar-vs-sim speedup: ${SPEEDUP}x (>= 5x)"
 
 # The durability experiment must be present with a live WAL append rate —
 # a zero rate would mean the fsynced append path never ran.
@@ -91,17 +91,12 @@ if ! awk -v r="$RULES" 'BEGIN { exit !(r >= 4) }'; then
 fi
 echo "optimizer: $P_BASE -> $P_OPT pulses, $HITS rewrite sites across $RULES rules"
 
-# The columnar experiment must be present, the word-plane scans must be at
-# least as fast as the scalar kernel in aggregate, and fused shared-operand
-# batches must not lose to running the same batch unfused.
+# The fusion experiment must be present, and fused shared-operand batches
+# must not lose to running the same queries one at a time on the same
+# (columnar) backend.
 E22="$DIR/BENCH_e22_columnar.json"
 if [[ ! -f "$E22" ]]; then
   echo "missing $E22" >&2
-  exit 1
-fi
-COL_SPEEDUP=$(sed -n 's/.*"columnar_vs_kernel_speedup": \([0-9.]*\).*/\1/p' "$E22")
-if ! awk -v s="$COL_SPEEDUP" 'BEGIN { exit !(s >= 1.0) }'; then
-  echo "e22 columnar_vs_kernel_speedup $COL_SPEEDUP is below the required 1x" >&2
   exit 1
 fi
 FUSED=$(sed -n 's/.*"fused_qps_16": \([0-9.]*\).*/\1/p' "$E22")
@@ -110,4 +105,4 @@ if ! awk -v f="$FUSED" -v u="$UNFUSED" 'BEGIN { exit !(f+0 >= u+0 && f+0 > 0) }'
   echo "e22 fused_qps_16 $FUSED is below unfused_qps_16 $UNFUSED" >&2
   exit 1
 fi
-echo "e22 columnar-vs-kernel speedup: ${COL_SPEEDUP}x (>= 1x); fused 16-client batch: ${FUSED} q/s vs ${UNFUSED} unfused"
+echo "e22 fused 16-client batch: ${FUSED} q/s vs ${UNFUSED} unfused"

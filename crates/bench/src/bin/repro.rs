@@ -26,7 +26,7 @@ use systolic_core::{
     LinearComparisonArray, SetOpMode,
 };
 use systolic_fabric::{CompareOp, Elem};
-use systolic_machine::{Backend, Expr, System};
+use systolic_machine::{Backend, Expr, RunStats, System};
 use systolic_perfmodel::{array_keeps_up_with_disk, DiskModel, Prediction, Technology, Workload};
 
 fn heading(id: &str, title: &str, claim: &str) {
@@ -1039,17 +1039,16 @@ fn e19_pipelined_tiles() -> Summary {
     sum
 }
 
-/// E21: host wall time of the pulse-accurate simulator against the two
-/// closed-form backends — the scalar kernel and the bit-packed columnar
-/// scanner — per operator, asserting bit-identical output along the way.
-/// Returns the per-operator wall times and the aggregate kernel speedup
-/// as artifact extras.
+/// E21: host wall time of the pulse-accurate simulator against the
+/// closed-form columnar backend per operator, asserting bit-identical
+/// output along the way. Returns the per-operator wall times and the
+/// aggregate speedup as artifact extras.
 fn e21_backend_speedup() -> (Summary, Vec<(String, Extra)>) {
     let mut sum = Summary::default();
     heading(
         "E21",
-        "closed-form backends vs pulse simulator (host wall time)",
-        "closed-form kernels reproduce the arrays' rows and pulse accounting bit-for-bit without stepping the grid; host time drops >= 5x",
+        "closed-form backend vs pulse simulator (host wall time)",
+        "closed-form scans reproduce the arrays' rows and pulse accounting bit-for-bit without stepping the grid; host time drops >= 5x",
     );
     let n = 256;
     let (sa, sb) = workloads::overlap_pair(n, 2, 0.5);
@@ -1090,20 +1089,13 @@ fn e21_backend_speedup() -> (Summary, Vec<(String, Extra)>) {
     const REPS: usize = 3;
     let mut extras: Vec<(String, Extra)> = Vec::new();
     let mut sim_total = 0u64;
-    let mut kernel_total = 0u64;
     let mut columnar_total = 0u64;
-    let mut t = Table::new(&[
-        "op",
-        "sim wall",
-        "kernel wall",
-        "columnar wall",
-        "bit-identical",
-    ]);
+    let mut t = Table::new(&["op", "sim wall", "columnar wall", "bit-identical"]);
     for (name, run) in &runners {
         // One untimed warm-up iteration per backend primes allocator and
         // cache state — for the columnar backend that includes the one-time
-        // word-plane pack — then best-of-REPS damps scheduler noise. Every
-        // backend gets the same treatment.
+        // word-plane pack — then best-of-REPS damps scheduler noise. Both
+        // backends get the same treatment.
         let mut best = |bk: Backend| -> (Run, u64) {
             let _ = run(bk);
             let mut best_ns = u64::MAX;
@@ -1121,179 +1113,57 @@ fn e21_backend_speedup() -> (Summary, Vec<(String, Extra)>) {
             (out.unwrap(), best_ns)
         };
         let (sim, sim_ns) = best(Backend::Sim);
-        let (fast, kernel_ns) = best(Backend::Kernel);
         let (packed, columnar_ns) = best(Backend::Columnar);
-        let identical = sim.0.rows() == fast.0.rows()
-            && sim.1 == fast.1
-            && sim.0.rows() == packed.0.rows()
-            && sim.1 == packed.1;
+        let identical = sim.0.rows() == packed.0.rows() && sim.1 == packed.1;
         sim_total += sim_ns;
-        kernel_total += kernel_ns;
         columnar_total += columnar_ns;
         extras.push((format!("sim_ns_{name}"), Extra::U64(sim_ns)));
-        extras.push((format!("kernel_ns_{name}"), Extra::U64(kernel_ns)));
         extras.push((format!("columnar_ns_{name}"), Extra::U64(columnar_ns)));
         t.rowd(&[
             name.to_string(),
             fmt_ns(sim_ns as f64),
-            fmt_ns(kernel_ns as f64),
             fmt_ns(columnar_ns as f64),
             identical.to_string(),
         ]);
     }
     print!("{}", t.render());
-    let speedup = sim_total as f64 / kernel_total.max(1) as f64;
+    let speedup = sim_total as f64 / columnar_total.max(1) as f64;
     println!(
-        "aggregate: sim {} vs kernel {} -> {speedup:.1}x (target >= 5x: {}); \
-         columnar {} (E22 compares the closed forms head to head)",
+        "aggregate: sim {} vs columnar {} -> {speedup:.1}x (target >= 5x: {})",
         fmt_ns(sim_total as f64),
-        fmt_ns(kernel_total as f64),
-        speedup >= 5.0,
         fmt_ns(columnar_total as f64),
+        speedup >= 5.0,
     );
     extras.push(("sim_wall_ns".to_string(), Extra::U64(sim_total)));
-    extras.push(("kernel_wall_ns".to_string(), Extra::U64(kernel_total)));
     extras.push(("columnar_wall_ns".to_string(), Extra::U64(columnar_total)));
     extras.push(("speedup".to_string(), Extra::F64(speedup)));
     (sum, extras)
 }
 
-/// E22: the columnar backend on its own terms. Three acts: per-operator
-/// wall time against the scalar kernel baseline at a size where the
-/// word-parallel planes matter; fused shared-operand batch throughput at
-/// 1/4/16 concurrent queries over one relation (the columnar backend
-/// answers them in a single word-plane pass, per-query accounting
-/// untouched); and ingest bandwidth of the zero-detour columnar CSV path
-/// against parse-rows-then-pack.
+/// E22: fused shared-operand batches on the columnar backend. C point
+/// queries hit one shared relation; the unfused arm runs each query as its
+/// own one-query batch, the fused arm admits all C together so the machine
+/// answers them in a single word-plane pass (per-query accounting
+/// untouched). Backend and data are the same in both arms: only fusion
+/// varies.
 fn e22_columnar() -> (Summary, Vec<(String, Extra)>) {
     use systolic_machine::{MachineConfig, TrackFilter};
-    use systolic_relation::{import_csv, import_csv_columnar, Catalog, Column, DomainKind, Schema};
 
     let mut sum = Summary::default();
     let mut extras: Vec<(String, Extra)> = Vec::new();
     heading(
         "E22",
-        "columnar word-plane execution (host wall time)",
-        "\u{a7}2.3 domain coding packs tuples into bit planes; one 64-bit word then carries 64 tuples per host op, and queries sharing an operand share its scan",
+        "fused shared-operand batches (host wall time)",
+        "\u{a7}2.3 domain coding packs tuples into bit planes; queries sharing an operand then share one scan of its planes",
     );
 
-    // Act 1: per-operator closed-form comparison, kernel (scalar rows) vs
-    // columnar (bit-packed word planes). The simulator is out of the
-    // picture, so the workloads can be big enough for the word-level
-    // parallelism to show: n = 2048 where E21 used 256.
-    let n = 2048;
-    let (sa, sb) = workloads::overlap_pair(n, 2, 0.5);
-    let (ja, jb, ka, kb) = workloads::join_pair(n, 64, 0.0);
-    let (dividend, divisor, _) = workloads::division(256, 8, 32);
-    let exec = Execution::Marching;
-    let join_specs = [JoinSpec::eq(ka, kb)];
-
-    type Run = (systolic_relation::MultiRelation, systolic_core::ExecStats);
-    type Runner<'a> = Box<dyn Fn(Backend) -> Run + 'a>;
-    let runners: Vec<(&str, Runner)> = vec![
-        (
-            "intersect",
-            Box::new(|bk| ops::intersect_with(&sa, &sb, exec, bk).unwrap()),
-        ),
-        (
-            "union",
-            Box::new(|bk| ops::union_with(&sa, &sb, exec, bk).unwrap()),
-        ),
-        (
-            "difference",
-            Box::new(|bk| ops::difference_with(&sa, &sb, exec, bk).unwrap()),
-        ),
-        (
-            "dedup",
-            Box::new(|bk| ops::dedup_with(&sa, exec, bk).unwrap()),
-        ),
-        (
-            "join",
-            Box::new(|bk| ops::join_with(&ja, &jb, &join_specs, exec, bk).unwrap()),
-        ),
-        (
-            "divide",
-            Box::new(|bk| ops::divide_binary_with(&dividend, 0, 1, &divisor, 0, exec, bk).unwrap()),
-        ),
-    ];
-
+    // C concurrent point queries hit the same 64k-row relation. Distinct
+    // filter values keep the admission scheduler's CSE out of the way:
+    // this measures fusion, not deduplication.
     const REPS: usize = 3;
-    let mut kernel_total = 0u64;
-    let mut columnar_total = 0u64;
-    let mut t = Table::new(&[
-        "op",
-        "n",
-        "kernel wall",
-        "columnar wall",
-        "speedup",
-        "bit-identical",
-    ]);
-    for (name, run) in &runners {
-        // Same discipline as E21: one untimed warm-up (which also performs
-        // the one-time word-plane pack), then best-of-REPS.
-        let mut best = |bk: Backend| -> (Run, u64) {
-            let _ = run(bk);
-            let mut best_ns = u64::MAX;
-            let mut out = None;
-            for _ in 0..REPS {
-                let t0 = Instant::now();
-                let r = run(bk);
-                let ns = t0.elapsed().as_nanos() as u64;
-                sum.exec(&r.1);
-                if ns < best_ns {
-                    best_ns = ns;
-                    out = Some(r);
-                }
-            }
-            (out.unwrap(), best_ns)
-        };
-        let (scalar, kernel_ns) = best(Backend::Kernel);
-        let (packed, columnar_ns) = best(Backend::Columnar);
-        let identical = scalar.0.rows() == packed.0.rows() && scalar.1 == packed.1;
-        kernel_total += kernel_ns;
-        columnar_total += columnar_ns;
-        extras.push((format!("kernel_ns_{name}"), Extra::U64(kernel_ns)));
-        extras.push((format!("columnar_ns_{name}"), Extra::U64(columnar_ns)));
-        t.rowd(&[
-            name.to_string(),
-            n.to_string(),
-            fmt_ns(kernel_ns as f64),
-            fmt_ns(columnar_ns as f64),
-            format!("{:.1}x", kernel_ns as f64 / columnar_ns.max(1) as f64),
-            identical.to_string(),
-        ]);
-    }
-    print!("{}", t.render());
-    let speedup = kernel_total as f64 / columnar_total.max(1) as f64;
-    println!(
-        "aggregate: kernel {} vs columnar {} -> {speedup:.1}x (target >= 1x: {})",
-        fmt_ns(kernel_total as f64),
-        fmt_ns(columnar_total as f64),
-        speedup >= 1.0
-    );
-    extras.push(("kernel_wall_ns".to_string(), Extra::U64(kernel_total)));
-    extras.push(("columnar_wall_ns".to_string(), Extra::U64(columnar_total)));
-    extras.push((
-        "columnar_vs_kernel_speedup".to_string(),
-        Extra::F64(speedup),
-    ));
-
-    // Act 2: fused shared-operand batches. C concurrent point queries hit
-    // the same 64k-row relation; under the columnar backend the machine
-    // answers all C with one fused pass over the operand's word planes
-    // (per-request pulse accounting still priced solo — the machine suite
-    // proves bit-identity), while the kernel backend runs C independent
-    // scalar scans. Distinct filter values keep the admission scheduler's
-    // CSE out of the way: this measures fusion, not deduplication.
-    println!();
-    println!("fused shared-operand batches (64k-row operand, point filters):");
+    println!("fused shared-operand batches (64k-row operand, point filters, columnar backend):");
     let emp = workloads::seq_multi(65_536, 2, 0);
-    let mut t = Table::new(&[
-        "clients",
-        "unfused (kernel) q/s",
-        "fused (columnar) q/s",
-        "fused answers match",
-    ]);
+    let mut t = Table::new(&["clients", "unfused q/s", "fused q/s", "fused answers match"]);
     for &clients in &[1usize, 4, 16] {
         let queries: Vec<Expr> = (0..clients)
             .map(|i| {
@@ -1307,42 +1177,58 @@ fn e22_columnar() -> (Summary, Vec<(String, Extra)>) {
                 )
             })
             .collect();
-        let mut best = |bk: Backend| {
+        let mut best = |fused: bool| {
             let mut best_ns = u64::MAX;
             let mut out = None;
             for rep in 0..=REPS {
                 let mut sys = System::new(MachineConfig {
-                    backend: bk,
+                    backend: Backend::Columnar,
                     ..MachineConfig::default()
                 })
                 .unwrap();
                 sys.load_base("emp", emp.clone());
+                let mut pulses = 0;
                 let t0 = Instant::now();
-                let batch = sys.run_batch_accounted(&queries).unwrap();
+                let answers: Vec<(systolic_relation::MultiRelation, RunStats)> = if fused {
+                    let batch = sys.run_batch_accounted(&queries).unwrap();
+                    pulses = batch.combined.stats.total_pulses;
+                    batch
+                        .queries
+                        .into_iter()
+                        .map(|q| (q.result, q.stats))
+                        .collect()
+                } else {
+                    queries
+                        .iter()
+                        .map(|q| {
+                            let mut batch =
+                                sys.run_batch_accounted(std::slice::from_ref(q)).unwrap();
+                            pulses += batch.combined.stats.total_pulses;
+                            let solo = batch.queries.remove(0);
+                            (solo.result, solo.stats)
+                        })
+                        .collect()
+                };
                 let ns = t0.elapsed().as_nanos() as u64;
                 if rep == 0 {
                     // Warm-up: pays the one-time word-plane pack (shared
                     // by every later clone of `emp`), never timed.
-                    out = Some(batch);
+                    out = Some(answers);
                     continue;
                 }
-                sum.pulses(batch.combined.stats.total_pulses);
+                sum.pulses(pulses);
                 if ns < best_ns {
                     best_ns = ns;
-                    out = Some(batch);
+                    out = Some(answers);
                 }
             }
             (out.unwrap(), best_ns)
         };
-        let (unfused, kernel_ns) = best(Backend::Kernel);
-        let (fused, columnar_ns) = best(Backend::Columnar);
-        let matches = unfused
-            .queries
-            .iter()
-            .zip(&fused.queries)
-            .all(|(u, f)| u.result.rows() == f.result.rows() && u.stats == f.stats);
-        let unfused_qps = clients as f64 / (kernel_ns as f64 / 1e9);
-        let fused_qps = clients as f64 / (columnar_ns as f64 / 1e9);
+        let (unfused, unfused_ns) = best(false);
+        let (fused, fused_ns) = best(true);
+        let matches = unfused == fused;
+        let unfused_qps = clients as f64 / (unfused_ns as f64 / 1e9);
+        let fused_qps = clients as f64 / (fused_ns as f64 / 1e9);
         extras.push((format!("unfused_qps_{clients}"), Extra::F64(unfused_qps)));
         extras.push((format!("fused_qps_{clients}"), Extra::F64(fused_qps)));
         t.rowd(&[
@@ -1353,67 +1239,6 @@ fn e22_columnar() -> (Summary, Vec<(String, Extra)>) {
         ]);
     }
     print!("{}", t.render());
-
-    // Act 3: ingest bandwidth. The zero-detour path packs word planes
-    // while parsing; the detour path parses rows first and packs after —
-    // same catalog, same CSV, both ending with rows AND planes in memory.
-    println!();
-    println!("CSV ingest to rows + word planes (50k rows x 4 int columns):");
-    let rows = 50_000i64;
-    let csv: String = (0..rows)
-        .map(|i| format!("{},{},{},{}\n", i, (i * 7) % 1000, i % 97, (i * 13) % 8191))
-        .collect();
-    let mb = csv.len() as f64 / 1e6;
-    let mut cat = Catalog::new();
-    let schema = Schema::new(
-        (0..4)
-            .map(|c| {
-                Column::new(
-                    format!("c{c}"),
-                    cat.add_domain(format!("d{c}"), DomainKind::Int),
-                )
-            })
-            .collect(),
-    );
-    let mut best_ingest = |zero_detour: bool| -> u64 {
-        let mut best_ns = u64::MAX;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let rel = if zero_detour {
-                import_csv_columnar(&mut cat, &schema, &csv).unwrap()
-            } else {
-                let rel = import_csv(&mut cat, &schema, &csv).unwrap();
-                rel.columnar();
-                rel
-            };
-            let ns = t0.elapsed().as_nanos() as u64;
-            assert_eq!(rel.len(), rows as usize);
-            sum.tick();
-            best_ns = best_ns.min(ns);
-        }
-        best_ns
-    };
-    let row_ns = best_ingest(false);
-    let columnar_ns = best_ingest(true);
-    let row_rate = mb / (row_ns as f64 / 1e9);
-    let columnar_rate = mb / (columnar_ns as f64 / 1e9);
-    let mut t = Table::new(&["path", "wall", "MB/s"]);
-    t.rowd(&[
-        "rows, then pack".to_string(),
-        fmt_ns(row_ns as f64),
-        format!("{row_rate:.0}"),
-    ]);
-    t.rowd(&[
-        "zero-detour columnar".to_string(),
-        fmt_ns(columnar_ns as f64),
-        format!("{columnar_rate:.0}"),
-    ]);
-    print!("{}", t.render());
-    extras.push(("ingest_row_mb_per_sec".to_string(), Extra::F64(row_rate)));
-    extras.push((
-        "ingest_columnar_mb_per_sec".to_string(),
-        Extra::F64(columnar_rate),
-    ));
     (sum, extras)
 }
 
@@ -1498,13 +1323,13 @@ fn serve_throughput() -> (Summary, Vec<(String, Extra)>) {
     // Second act: the event-driven front end. One poll(2) reactor thread
     // multiplexes every connection onto an 8-thread worker pool, relations
     // are hash-partitioned across 2 machine shards behind the router, and
-    // the closed-form kernel backend (bit-identical RESULT frames — the
-    // e2e suite proves it) lifts the per-query simulation cost off this
-    // box's single core so the front end itself is what's measured. Every
-    // connection has its request in flight before any answer is read.
+    // the closed-form columnar backend (bit-identical RESULT frames — the
+    // e2e suite proves it) lifts the per-query simulation cost off the
+    // host so the front end itself is what's measured. Every connection
+    // has its request in flight before any answer is read.
     println!();
     println!(
-        "poll(2) reactor + 2-shard router (kernel backend, pipelined connections, \
+        "poll(2) reactor + 2-shard router (columnar backend, pipelined connections, \
          8 workers):"
     );
     let handle = spawn(ServerConfig {
@@ -1515,7 +1340,7 @@ fn serve_throughput() -> (Summary, Vec<(String, Extra)>) {
         max_pending: 4096,
         max_batch: 64,
         machine: systolic_machine::MachineConfig {
-            backend: Backend::Kernel,
+            backend: Backend::Columnar,
             ..systolic_machine::MachineConfig::default()
         },
         ..ServerConfig::default()

@@ -1,10 +1,9 @@
 //! The cross-backend differential harness: for every operator, every
 //! execution strategy, and randomly drawn relations, comparator vectors,
-//! and tile shapes, BOTH closed-form backends — the row kernels and the
-//! bit-sliced columnar scans — must agree with the pulse-accurate
-//! simulator bit-for-bit: the same result rows, the same `TMatrix`, and
-//! the same `ExecStats` (pulses, busy/total cell-pulses, array runs) the
-//! grid would have counted.
+//! and tile shapes, the closed-form columnar backend must agree with the
+//! pulse-accurate simulator bit-for-bit: the same result rows, the same
+//! `TMatrix`, and the same `ExecStats` (pulses, busy/total cell-pulses,
+//! array runs) the grid would have counted.
 //!
 //! The unit tests inside `core::kernel` pin each analytic formula to its
 //! array over exhaustive small-shape sweeps; this suite completes the
@@ -14,7 +13,7 @@
 use proptest::prelude::*;
 
 use systolic_core::ops::{self, Execution};
-use systolic_core::{kernel, ArrayLimits, Backend, JoinSpec, ProgrammableJoinArray};
+use systolic_core::{ArrayLimits, Backend, JoinSpec, ProgrammableJoinArray};
 use systolic_fabric::CompareOp;
 use systolic_relation::gen::synth_schema;
 use systolic_relation::MultiRelation;
@@ -57,7 +56,8 @@ fn op_strategy() -> impl Strategy<Value = CompareOp> {
     ]
 }
 
-/// Assert both backends produce identical rows and identical stats.
+/// Assert the simulator and the columnar backend produce identical rows
+/// and identical stats.
 fn assert_identical(
     label: &str,
     sim: &(MultiRelation, systolic_core::ExecStats),
@@ -85,36 +85,35 @@ proptest! {
         };
         let a = rel(m, trim(seed_a));
         let b = rel(m, trim(seed_b));
-        for backend in [Backend::Kernel, Backend::Columnar] {
-            for (label, sim, fast) in [
-                (
-                    "intersect",
-                    ops::intersect_with(&a, &b, exec, Backend::Sim),
-                    ops::intersect_with(&a, &b, exec, backend),
-                ),
-                (
-                    "difference",
-                    ops::difference_with(&a, &b, exec, Backend::Sim),
-                    ops::difference_with(&a, &b, exec, backend),
-                ),
-                (
-                    "union",
-                    ops::union_with(&a, &b, exec, Backend::Sim),
-                    ops::union_with(&a, &b, exec, backend),
-                ),
-                (
-                    "dedup",
-                    ops::dedup_with(&a, exec, Backend::Sim),
-                    ops::dedup_with(&a, exec, backend),
-                ),
-                (
-                    "project",
-                    ops::project_with(&a, &[0], exec, Backend::Sim),
-                    ops::project_with(&a, &[0], exec, backend),
-                ),
-            ] {
-                assert_identical(label, &sim.unwrap(), &fast.unwrap())?;
-            }
+        let backend = Backend::Columnar;
+        for (label, sim, fast) in [
+            (
+                "intersect",
+                ops::intersect_with(&a, &b, exec, Backend::Sim),
+                ops::intersect_with(&a, &b, exec, backend),
+            ),
+            (
+                "difference",
+                ops::difference_with(&a, &b, exec, Backend::Sim),
+                ops::difference_with(&a, &b, exec, backend),
+            ),
+            (
+                "union",
+                ops::union_with(&a, &b, exec, Backend::Sim),
+                ops::union_with(&a, &b, exec, backend),
+            ),
+            (
+                "dedup",
+                ops::dedup_with(&a, exec, Backend::Sim),
+                ops::dedup_with(&a, exec, backend),
+            ),
+            (
+                "project",
+                ops::project_with(&a, &[0], exec, Backend::Sim),
+                ops::project_with(&a, &[0], exec, backend),
+            ),
+        ] {
+            assert_identical(label, &sim.unwrap(), &fast.unwrap())?;
         }
     }
 
@@ -134,14 +133,13 @@ proptest! {
             .map(|(ca, cb, op)| JoinSpec::theta(ca, cb, op))
             .collect();
         let sim = ops::join_with(&a, &b, &specs, exec, Backend::Sim).unwrap();
-        for backend in [Backend::Kernel, Backend::Columnar] {
-            let fast = ops::join_with(&a, &b, &specs, exec, backend).unwrap();
-            assert_identical("join", &sim, &fast)?;
-        }
+        let backend = Backend::Columnar;
+        let fast = ops::join_with(&a, &b, &specs, exec, backend).unwrap();
+        assert_identical("join", &sim, &fast)?;
     }
 
-    /// The kernel's closed-form `T` equals the programmable array's, entry
-    /// for entry, for arbitrary comparator vectors — the matrix itself, not
+    /// The columnar scan's `T` equals the programmable array's, entry for
+    /// entry, for arbitrary comparator vectors — the matrix itself, not
     /// just the assembled result.
     #[test]
     fn programmable_t_matrix_agrees(
@@ -163,8 +161,6 @@ proptest! {
         let sim = ProgrammableJoinArray::new(m)
             .t_matrix(&a, &b, &ops_vec)
             .unwrap();
-        let fast = kernel::t_matrix(&a, &b, &ops_vec, |_, _| true);
-        prop_assert_eq!(&fast, &sim.t);
         let packed = systolic_relation::ColumnarRelation::from_rows(&b, m);
         let cols: Vec<usize> = (0..m).collect();
         let cols_scan =
@@ -183,10 +179,9 @@ proptest! {
         let a = rel(2, seed_a);
         let b = rel(1, seed_b);
         let sim = ops::divide_binary_with(&a, 0, 1, &b, 0, exec, Backend::Sim).unwrap();
-        for backend in [Backend::Kernel, Backend::Columnar] {
-            let fast = ops::divide_binary_with(&a, 0, 1, &b, 0, exec, backend).unwrap();
-            assert_identical("divide", &sim, &fast)?;
-        }
+        let backend = Backend::Columnar;
+        let fast = ops::divide_binary_with(&a, 0, 1, &b, 0, exec, backend).unwrap();
+        assert_identical("divide", &sim, &fast)?;
     }
 
     /// Selection: random predicate columns and constants.
@@ -211,10 +206,9 @@ proptest! {
             })
             .collect();
         let sim = ops::select_with(&a, &preds, Execution::Marching, Backend::Sim).unwrap();
-        for backend in [Backend::Kernel, Backend::Columnar] {
-            let fast = ops::select_with(&a, &preds, Execution::Marching, backend).unwrap();
-            assert_identical("select", &sim, &fast)?;
-        }
+        let backend = Backend::Columnar;
+        let fast = ops::select_with(&a, &preds, Execution::Marching, backend).unwrap();
+        assert_identical("select", &sim, &fast)?;
     }
 }
 
@@ -266,34 +260,33 @@ fn empty_and_exact_fit_shapes_agree() {
                     "{label} stats ({rows_a:?} vs {rows_b:?}, {exec:?})"
                 );
             };
-            for backend in [Backend::Kernel, Backend::Columnar] {
-                ident(
-                    "intersect",
-                    ops::intersect_with(&a, &b, exec, Backend::Sim).unwrap(),
-                    ops::intersect_with(&a, &b, exec, backend).unwrap(),
-                );
-                ident(
-                    "union",
-                    ops::union_with(&a, &b, exec, Backend::Sim).unwrap(),
-                    ops::union_with(&a, &b, exec, backend).unwrap(),
-                );
-                ident(
-                    "dedup",
-                    ops::dedup_with(&a, exec, Backend::Sim).unwrap(),
-                    ops::dedup_with(&a, exec, backend).unwrap(),
-                );
-                let specs = [JoinSpec::eq(0, 0)];
-                ident(
-                    "join",
-                    ops::join_with(&a, &b, &specs, exec, Backend::Sim).unwrap(),
-                    ops::join_with(&a, &b, &specs, exec, backend).unwrap(),
-                );
-                ident(
-                    "divide",
-                    ops::divide_binary_with(&a, 0, 1, &b, 0, exec, Backend::Sim).unwrap(),
-                    ops::divide_binary_with(&a, 0, 1, &b, 0, exec, backend).unwrap(),
-                );
-            }
+            let backend = Backend::Columnar;
+            ident(
+                "intersect",
+                ops::intersect_with(&a, &b, exec, Backend::Sim).unwrap(),
+                ops::intersect_with(&a, &b, exec, backend).unwrap(),
+            );
+            ident(
+                "union",
+                ops::union_with(&a, &b, exec, Backend::Sim).unwrap(),
+                ops::union_with(&a, &b, exec, backend).unwrap(),
+            );
+            ident(
+                "dedup",
+                ops::dedup_with(&a, exec, Backend::Sim).unwrap(),
+                ops::dedup_with(&a, exec, backend).unwrap(),
+            );
+            let specs = [JoinSpec::eq(0, 0)];
+            ident(
+                "join",
+                ops::join_with(&a, &b, &specs, exec, Backend::Sim).unwrap(),
+                ops::join_with(&a, &b, &specs, exec, backend).unwrap(),
+            );
+            ident(
+                "divide",
+                ops::divide_binary_with(&a, 0, 1, &b, 0, exec, Backend::Sim).unwrap(),
+                ops::divide_binary_with(&a, 0, 1, &b, 0, exec, backend).unwrap(),
+            );
         }
     }
 }

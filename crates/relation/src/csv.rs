@@ -8,7 +8,6 @@
 //! by the target schema's domain kinds.
 
 use crate::catalog::Catalog;
-use crate::columnar::ColumnarBuilder;
 use crate::domain::{Datum, DomainKind};
 use crate::error::RelationError;
 use crate::relation::MultiRelation;
@@ -135,47 +134,6 @@ pub fn import_csv(
         let row = catalog.encode_row(schema, &datums)?;
         out.push(row)?;
     }
-    Ok(out)
-}
-
-/// [`import_csv`] with zero-detour columnar ingest: the bit-packed word
-/// planes are staged *while parsing* (each encoded row feeds the
-/// [`ColumnarBuilder`] as it leaves the catalog encoder) and installed on
-/// the returned relation, so a columnar-backend scan never makes a second
-/// sweep over the row matrix to pack planes.
-pub fn import_csv_columnar(
-    catalog: &mut Catalog,
-    schema: &Schema,
-    text: &str,
-) -> Result<MultiRelation, RelationError> {
-    let mut out = MultiRelation::empty(schema.clone());
-    let mut packer = ColumnarBuilder::new(schema.arity());
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty()).peekable();
-    if let Some(first) = lines.peek() {
-        let headers: Vec<String> = split_line(first)?;
-        let names: Vec<&str> = schema.columns().iter().map(|c| c.name.as_str()).collect();
-        if headers.iter().map(|h| h.as_str()).eq(names.iter().copied()) {
-            lines.next();
-        }
-    }
-    for line in lines {
-        let fields = split_line(line)?;
-        if fields.len() != schema.arity() {
-            return Err(RelationError::ArityMismatch {
-                expected: schema.arity(),
-                got: fields.len(),
-            });
-        }
-        let mut datums = Vec::with_capacity(fields.len());
-        for (field, col) in fields.iter().zip(schema.columns()) {
-            let kind = catalog.domain(col.domain).kind();
-            datums.push(parse_field(kind, field)?);
-        }
-        let row = catalog.encode_row(schema, &datums)?;
-        packer.push(&row);
-        out.push(row)?;
-    }
-    out.install_columnar(packer.finish());
     Ok(out)
 }
 

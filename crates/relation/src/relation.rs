@@ -85,14 +85,6 @@ impl MultiRelation {
         self.cache.0.get().is_some()
     }
 
-    /// Install a columnar view packed elsewhere (the zero-detour ingest
-    /// path packs planes *while parsing* and lands them here). A no-op if
-    /// a view is already cached.
-    pub fn install_columnar(&self, packed: ColumnarRelation) {
-        debug_assert_eq!(packed.n_rows(), self.rows.len());
-        let _ = self.cache.0.set(Arc::new(packed));
-    }
-
     /// An identity token for the shared cache cell: two relations return
     /// the same token iff they are clones sharing one columnar view —
     /// which is how a batch recognizes queries scanning the same staged

@@ -20,8 +20,8 @@ use systolic_machine::{
     RunOutcome, System,
 };
 use systolic_relation::{
-    export_csv, import_csv_columnar, Catalog, Column, DomainId, DomainKind, MultiRelation,
-    RelationError, Schema,
+    export_csv, import_csv, Catalog, Column, DomainId, DomainKind, MultiRelation, RelationError,
+    Schema,
 };
 
 /// Errors from preparing or running a query against an engine.
@@ -142,9 +142,8 @@ impl Store {
     /// Import CSV text as table `name` with the given column kinds,
     /// remembering its schema. Re-registering a name overwrites its schema.
     ///
-    /// The zero-detour ingest path: the bit-packed columnar planes are
-    /// built *while parsing*, so a later columnar scan never re-walks the
-    /// rows to pack them.
+    /// The bit-packed columnar planes are built here, at load time, so a
+    /// later columnar scan never pays the pack inside a query.
     pub fn register(
         &mut self,
         name: &str,
@@ -157,7 +156,8 @@ impl Store {
             .map(|(k, &kind)| Column::new(format!("c{k}"), self.domain_of(kind)))
             .collect();
         let schema = Schema::new(columns);
-        let rel = import_csv_columnar(&mut self.catalog, &schema, csv)?;
+        let rel = import_csv(&mut self.catalog, &schema, csv)?;
+        rel.columnar();
         self.rows.insert(name.to_string(), rel.len() as u64);
         self.schemas.insert(name.to_string(), schema);
         Ok(rel)

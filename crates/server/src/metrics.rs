@@ -46,9 +46,8 @@ pub(crate) struct ServerMetrics {
     /// (batch-window common-subexpression elimination).
     pub(crate) cse_hits: Arc<Counter>,
     /// Columnar word-plane packs performed process-wide, synced from the
-    /// relation crate's counter at exposition time (ingest-time packs and
-    /// lazy packs both count; a low number relative to loads means the
-    /// zero-detour path is doing its job).
+    /// relation crate's counter at exposition time (`LOAD`-time packs and
+    /// lazy packs both count).
     pub(crate) columnar_builds: Arc<Gauge>,
 }
 
@@ -138,7 +137,7 @@ impl ServerMetrics {
 
     /// The backend identity series, `sdb_server_backend_info{backend=...}`:
     /// set to 1 at startup so a scraper can tell whether this server runs
-    /// the pulse simulator or the closed-form kernel. RESULT frames are
+    /// the pulse simulator or the closed-form columnar backend. RESULT frames are
     /// bit-identical either way; only host speed differs.
     pub(crate) fn backend_info(&self, backend: &str) -> Arc<Counter> {
         self.registry.counter_with(
