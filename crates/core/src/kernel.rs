@@ -18,8 +18,8 @@
 //!
 //! The invariant — enforced by the differential tests here, in `ops`, and
 //! in `tests/backend_differential.rs` — is **bit-identity**: for every
-//! operator, every [`crate::ops::Execution`] strategy, every tile shape and
-//! thread count, the columnar backend produces the same `TMatrix`, the
+//! operator, every [`crate::ops::Execution`] strategy and every tile
+//! shape, the columnar backend produces the same `TMatrix`, the
 //! same keep/quotient bits, and the same `ExecStats` (pulses, cells,
 //! busy/total cell-pulses, array runs) as running the simulated hardware.
 //!
@@ -217,8 +217,7 @@ fn chunks(n: usize, max: usize) -> Vec<(usize, u64)> {
     v
 }
 
-/// A sequential tiled run ([`crate::tiling::t_matrix_tiled`], also the
-/// parallel executor's accounting): one [`compare_run_stats`] grid run per
+/// A sequential tiled run ([`crate::tiling::t_matrix_tiled`]): one [`compare_run_stats`] grid run per
 /// (A-chunk, B-chunk, column-group) tile, merged sequentially. Tile sizes
 /// take at most two distinct values per axis, so the sum collapses to at
 /// most eight weighted terms.

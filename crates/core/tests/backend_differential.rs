@@ -40,8 +40,6 @@ fn exec_strategy() -> impl Strategy<Value = Execution> {
         Just(Execution::FixedOperand),
         limits_strategy().prop_map(Execution::Tiled),
         limits_strategy().prop_map(Execution::TiledPipelined),
-        (limits_strategy(), 0usize..4)
-            .prop_map(|(limits, threads)| Execution::Parallel { limits, threads }),
     ]
 }
 
@@ -238,10 +236,6 @@ fn empty_and_exact_fit_shapes_agree() {
         Execution::FixedOperand,
         Execution::Tiled(ArrayLimits::new(4, 4, 2)),
         Execution::TiledPipelined(ArrayLimits::new(4, 4, 2)),
-        Execution::Parallel {
-            limits: ArrayLimits::new(4, 4, 2),
-            threads: 2,
-        },
     ];
     for (rows_a, rows_b) in shapes {
         let a = rel(2, rows_a.clone());

@@ -1001,7 +1001,10 @@ fn profile_results_are_byte_identical_and_bounded_by_the_budget() {
 /// parents under the outer request's root span — one trace id end to end.
 ///
 /// Holds [`collector_lock`]: `trace_out` installs the process-global
-/// collector for the server's lifetime.
+/// collector for the server's lifetime. Sharded queries from tests running
+/// concurrently land in that trace too, so every check below follows this
+/// test's own request: the one root span carrying its query text (over
+/// tables only it loads), that root's trace id, and the fan-out under it.
 #[test]
 fn sharded_trace_out_parents_shard_spans_under_the_fanout() {
     use systolic_telemetry::json::{self, Json};
@@ -1018,9 +1021,10 @@ fn sharded_trace_out_parents_shard_spans_under_the_fanout() {
     })
     .unwrap();
     let mut c = Client::connect(handle.addr).unwrap();
-    load_all(&mut c);
+    c.load_csv("fanout_l", "int", "1\n2\n3\n4\n").unwrap();
+    c.load_csv("fanout_r", "int", "2\n4\n6\n").unwrap();
     // A shardable query, so the router actually fans out.
-    let shardable = "intersect(scan(a), scan(b))";
+    let shardable = "intersect(scan(fanout_l), scan(fanout_r))";
     c.query(shardable).unwrap();
     let text = c.metrics().unwrap();
     let exp = systolic_telemetry::prom::validate(&text).unwrap();
@@ -1034,7 +1038,8 @@ fn sharded_trace_out_parents_shard_spans_under_the_fanout() {
 
     let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).expect("valid trace JSON");
     let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
-    let arg = |e: &Json, k: &str| e.get("args").and_then(|a| a.get(k)).and_then(Json::as_u64);
+    let args = |e: &Json, k: &str| e.get("args").and_then(|a| a.get(k)).cloned();
+    let arg = |e: &Json, k: &str| args(e, k).as_ref().and_then(Json::as_u64);
     let named = |n: &str| {
         events
             .iter()
@@ -1042,22 +1047,31 @@ fn sharded_trace_out_parents_shard_spans_under_the_fanout() {
             .collect::<Vec<_>>()
     };
 
-    let fanouts = named("server.shard_fanout");
+    // The outer request is the root of its own trace...
+    let requests = named("server.request");
+    let roots: Vec<_> = requests
+        .iter()
+        .filter(|e| {
+            arg(e, "parent_id").is_none()
+                && args(e, "query").as_ref().and_then(Json::as_str) == Some(shardable)
+        })
+        .collect();
+    assert_eq!(roots.len(), 1, "one root request span for the routed query");
+    let root = roots[0];
+    let trace_id = arg(root, "trace_id").unwrap();
+
+    // ...with exactly one fan-out on that trace, parented under the root...
+    let fanouts: Vec<_> = named("server.shard_fanout")
+        .into_iter()
+        .filter(|e| arg(e, "trace_id") == Some(trace_id))
+        .collect();
     assert_eq!(
         fanouts.len(),
         1,
         "one fan-out span for the one routed query"
     );
     let fanout = fanouts[0];
-    let trace_id = arg(fanout, "trace_id").unwrap();
     let fanout_span = arg(fanout, "span_id").unwrap();
-
-    // The fan-out parents under the outer request's root span...
-    let requests = named("server.request");
-    let root = requests
-        .iter()
-        .find(|e| arg(e, "trace_id") == Some(trace_id) && arg(e, "parent_id").is_none())
-        .expect("the outer request is the trace's root span");
     assert_eq!(arg(fanout, "parent_id"), arg(root, "span_id"));
 
     // ...and both shards' request spans parent under the fan-out, on the

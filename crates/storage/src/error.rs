@@ -11,6 +11,10 @@ pub enum StorageError {
     /// A page or log frame failed its integrity checks. `detail` says which
     /// check (magic, checksum, length, identity) and where.
     Corrupt { detail: String },
+    /// A log frame at byte `offset` failed its checks (`detail` says which)
+    /// and an intact frame follows it: the damage is not a torn final
+    /// append, so recovery stops rather than truncate acknowledged records.
+    MidLogCorrupt { offset: u64, detail: String },
     /// A named blob is not in the store's directory.
     UnknownBlob { name: String },
     /// A relation blob failed to decode back into a `MultiRelation`.
@@ -22,6 +26,10 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::Io(e) => write!(f, "storage io: {e}"),
             StorageError::Corrupt { detail } => write!(f, "corrupt storage: {detail}"),
+            StorageError::MidLogCorrupt { offset, detail } => write!(
+                f,
+                "corrupt log frame at byte {offset} with intact frames after it: {detail}"
+            ),
             StorageError::UnknownBlob { name } => write!(f, "unknown blob: {name}"),
             StorageError::Codec { detail } => write!(f, "relation codec: {detail}"),
         }

@@ -10,8 +10,11 @@
 //! Frame layout, little-endian: `[body_len: u32][crc: u64][body]` with
 //! `body = [lsn: u64][kind: u8][payload]`. The crc is FNV-1a-64 over the
 //! body. Replay walks frames until the file ends or a frame fails its
-//! checks; everything after the first bad frame is a torn tail, truncated
-//! at open so the next append lands on a clean boundary. fsync discipline:
+//! checks. If no intact frame follows the first bad one, the damage is a
+//! torn tail, truncated at open so the next append lands on a clean
+//! boundary. If an intact frame does follow, the damage is mid-log: open
+//! fails with [`StorageError::MidLogCorrupt`] and leaves the file untouched,
+//! because truncating would destroy acknowledged records. fsync discipline:
 //! [`Wal::append`] does not return until the frame is on stable storage —
 //! the server acknowledges a `LOAD` only after its record is durable.
 
@@ -255,7 +258,8 @@ impl Wal {
     /// Open `path`, replay every intact frame, truncate any torn tail.
     ///
     /// Returns the log handle, the replayed `(lsn, record)` sequence and a
-    /// tail report.
+    /// tail report, or [`StorageError::MidLogCorrupt`] (with the file left
+    /// byte-for-byte untouched) when an intact frame follows a bad one.
     pub fn open(path: &Path, metrics: Arc<StorageMetrics>) -> Result<WalOpen> {
         let mut file = OpenOptions::new()
             .read(true)
@@ -280,7 +284,17 @@ impl Wal {
                     records.push((lsn, record));
                     at += frame_len;
                 }
-                ParsedFrame::Bad { .. } => break,
+                ParsedFrame::Bad { detail } => {
+                    let intact_after = (at + 1..raw.len())
+                        .any(|p| matches!(parse_frame(&raw[p..]), ParsedFrame::Ok { .. }));
+                    if intact_after {
+                        return Err(StorageError::MidLogCorrupt {
+                            offset: at as u64,
+                            detail,
+                        });
+                    }
+                    break;
+                }
             }
         }
         let tail = WalTail {

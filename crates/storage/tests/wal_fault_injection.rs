@@ -4,13 +4,14 @@
 //! final frame is cut at *any* byte boundary — and with bit rot anywhere in
 //! it. These tests walk every such offset: the intact prefix always
 //! replays exactly, the damaged tail is always dropped, and the log keeps
-//! accepting appends afterwards.
+//! accepting appends afterwards. Damage with intact frames after it is not
+//! a torn tail: open refuses it and leaves the file alone.
 
 use std::fs;
 use std::path::PathBuf;
 
 use systolic_storage::wal::{encode_frame, Wal, WalRecord};
-use systolic_storage::{StorageEngine, StorageMetrics};
+use systolic_storage::{StorageEngine, StorageError, StorageMetrics};
 
 fn tmp(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -126,14 +127,41 @@ fn corruption_at_every_byte_of_the_final_record_drops_only_that_record() {
 fn corruption_mid_log_stops_replay_at_the_damage() {
     let (full, _) = full_log();
     let path = tmp("midflip");
-    // Flip one byte inside the very first frame: nothing replays, and the
-    // whole file is a torn tail.
+    // Flip one byte inside the very first frame: the three intact frames
+    // after it hold acknowledged records, so open must fail loudly and
+    // leave every byte in place rather than truncate them away.
     let mut bytes = full.clone();
     bytes[20] ^= 0x01;
     fs::write(&path, &bytes).unwrap();
-    let (_, recs, tail) = Wal::open(&path, StorageMetrics::shared()).unwrap();
-    assert!(recs.is_empty(), "a corrupt first frame fails its checksum");
-    assert_eq!(tail.dropped_bytes, full.len() as u64);
+    match Wal::open(&path, StorageMetrics::shared()) {
+        Err(StorageError::MidLogCorrupt { offset, .. }) => assert_eq!(offset, 0),
+        other => panic!("expected mid-log corruption, got {other:?}"),
+    }
+    assert_eq!(fs::read(&path).unwrap(), bytes, "the log is untouched");
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn corruption_at_every_byte_before_the_final_record_refuses_to_open() {
+    let (full, final_start) = full_log();
+    let path = tmp("midwalk");
+    let mut frame_starts = vec![0usize];
+    for (i, r) in history().iter().enumerate() {
+        frame_starts.push(frame_starts[i] + encode_frame(i as u64, r).len());
+    }
+    for at in 0..final_start {
+        let mut bytes = full.clone();
+        bytes[at] ^= 0xFF;
+        fs::write(&path, &bytes).unwrap();
+        let damaged = frame_starts.iter().rposition(|&s| s <= at).unwrap();
+        match Wal::open(&path, StorageMetrics::shared()) {
+            Err(StorageError::MidLogCorrupt { offset, .. }) => {
+                assert_eq!(offset, frame_starts[damaged] as u64, "flip at {at}")
+            }
+            other => panic!("flip at {at}: expected mid-log corruption, got {other:?}"),
+        }
+        assert_eq!(fs::read(&path).unwrap(), bytes, "flip at {at}: untouched");
+    }
     let _ = fs::remove_file(&path);
 }
 
