@@ -46,8 +46,8 @@ fi
 echo "durability WAL append rate: ${WAL_RATE} records/sec (fsync per append)"
 
 # The observability experiment must be present with a full flight recorder
-# and a non-empty merged shard trace — an empty trace would mean the
-# cross-shard span trailers never reached the merge.
+# and a non-empty shutdown trace — an empty trace would mean the server's
+# spans and the recorder's simulated track never reached the merge.
 OBS="$DIR/BENCH_observability.json"
 if [[ ! -f "$OBS" ]]; then
   echo "missing $OBS" >&2

@@ -1244,8 +1244,8 @@ fn e22_columnar() -> (Summary, Vec<(String, Extra)>) {
 
 /// `repro serve-throughput`: queries/sec against a live in-process
 /// systolic-server — the classic thread-per-connection front end at 1, 4
-/// and 16 concurrent connections, then the poll(2) reactor with a 2-shard
-/// router at 64, 256 and 1024 pipelined connections.
+/// and 16 concurrent connections, then the poll(2) reactor at 64, 256 and
+/// 1024 pipelined connections.
 fn serve_throughput() -> (Summary, Vec<(String, Extra)>) {
     use systolic_machine::Backend;
     use systolic_server::{spawn, Client, IoModel, ServerConfig};
@@ -1321,21 +1321,16 @@ fn serve_throughput() -> (Summary, Vec<(String, Extra)>) {
     );
 
     // Second act: the event-driven front end. One poll(2) reactor thread
-    // multiplexes every connection onto an 8-thread worker pool, relations
-    // are hash-partitioned across 2 machine shards behind the router, and
-    // the closed-form columnar backend (bit-identical RESULT frames — the
+    // multiplexes every connection onto an 8-thread worker pool, and the
+    // closed-form columnar backend (bit-identical RESULT frames — the
     // e2e suite proves it) lifts the per-query simulation cost off the
     // host so the front end itself is what's measured. Every connection
     // has its request in flight before any answer is read.
     println!();
-    println!(
-        "poll(2) reactor + 2-shard router (columnar backend, pipelined connections, \
-         8 workers):"
-    );
+    println!("poll(2) reactor (columnar backend, pipelined connections, 8 workers):");
     let handle = spawn(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         io: IoModel::Poll,
-        shards: 2,
         workers: 8,
         max_pending: 4096,
         max_batch: 64,
@@ -1396,10 +1391,9 @@ fn serve_throughput() -> (Summary, Vec<(String, Extra)>) {
     let report = handle.join().unwrap();
     println!(
         "(every pipelined RESULT frame byte-identical to the serial baseline; \
-         {} queries served, {} answered via the shard router)",
-        report.queries, report.sharded
+         {} queries served)",
+        report.queries
     );
-    extras.push(("poll_shards".to_string(), Extra::U64(2)));
     (sum, extras)
 }
 
@@ -1757,8 +1751,8 @@ fn optimizer() -> (Summary, Vec<(String, Extra)>) {
 
 /// `repro` O1 — observability: what a `PROFILE`d query costs next to the
 /// plain path (the `RESULT` frame must stay byte-identical), how long the
-/// shutdown trace merge takes with a 2-shard fan-out feeding it, and how
-/// much memory the flight recorder's retained profiles occupy.
+/// shutdown trace merge takes, and how much memory the flight recorder's
+/// retained profiles occupy.
 fn observability() -> (Summary, Vec<(String, Extra)>) {
     use systolic_server::{spawn, Client, ServerConfig};
     use systolic_telemetry::json::{self, Json};
@@ -1780,7 +1774,6 @@ fn observability() -> (Summary, Vec<(String, Extra)>) {
     const HISTORY: usize = 64;
     let handle = spawn(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        shards: 2,
         trace_out: Some(trace_path.clone()),
         profile_history: HISTORY,
         ..ServerConfig::default()
@@ -1904,8 +1897,8 @@ fn observability() -> (Summary, Vec<(String, Extra)>) {
     ));
     client.close().unwrap();
 
-    // Act 3: the shutdown trace merge — collector drain + shard trailer
-    // dedup + Chrome render + write, timed as the shutdown's cost.
+    // Act 3: the shutdown trace merge — collector drain + the recorder's
+    // simulated track + Chrome render + write, timed as the shutdown's cost.
     handle.shutdown();
     let started = Instant::now();
     handle.join().unwrap();

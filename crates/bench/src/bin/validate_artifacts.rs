@@ -42,9 +42,8 @@ const OPTIONAL: &[(&str, bool)] = &[
     ("unfused_qps_1", false),
     ("unfused_qps_4", false),
     ("unfused_qps_16", false),
-    // serve_throughput: shard count behind the poll(2) reactor and the
-    // pipelined queries/sec points at each connection count.
-    ("poll_shards", true),
+    // serve_throughput: the poll(2) reactor's pipelined queries/sec points
+    // at each connection count.
     ("poll_conns_64_qps", false),
     ("poll_conns_256_qps", false),
     ("poll_conns_1024_qps", false),

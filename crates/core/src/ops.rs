@@ -60,64 +60,15 @@ fn kernel_membership_stats(exec: Execution, n_a: usize, n_b: usize, m: usize) ->
     }
 }
 
-/// Analytic [`ExecStats`] for [`intersect`]/[`difference`] on inputs of
-/// `n_a`/`n_b` rows and arity `m`, **without the data**. Every operator
-/// below charges hardware cost as a pure function of input shape (the
-/// data-dependent exception is division, which has no price function), so
-/// a scheduler that knows only cardinalities can reproduce the exact
-/// [`ExecStats`] an actual run would produce — including the empty-input
-/// short-circuits, which charge nothing.
-pub fn price_membership(exec: Execution, n_a: usize, n_b: usize, m: usize) -> ExecStats {
-    if n_a == 0 || n_b == 0 {
-        return ExecStats::default();
-    }
-    kernel_membership_stats(exec, n_a, n_b, m)
-}
-
-/// Analytic [`ExecStats`] for [`dedup`] on `n` rows of arity `m`.
-pub fn price_dedup(exec: Execution, n: usize, m: usize) -> ExecStats {
-    if n == 0 {
-        return ExecStats::default();
-    }
-    kernel_membership_stats(exec, n, n, m)
-}
-
-/// Analytic [`ExecStats`] for [`union`]: dedup over the concatenation.
-pub fn price_union(exec: Execution, n_a: usize, n_b: usize, m: usize) -> ExecStats {
-    price_dedup(exec, n_a + n_b, m)
-}
-
-/// Analytic [`ExecStats`] for [`project`] to `n_cols` columns: the strip is
-/// free (it happens "while the tuples are retrieved"), the dedup is priced
-/// at the stripped arity.
-pub fn price_project(exec: Execution, n: usize, n_cols: usize) -> ExecStats {
-    price_dedup(exec, n, n_cols)
-}
-
 /// Analytic [`ExecStats`] for [`select`] with `n_preds` predicates over `n`
-/// rows. Selection always uses its dedicated one-row array, so no `exec`.
+/// rows, **without the data** — the fused columnar select charges each
+/// member this. Selection always uses its dedicated one-row array, so no
+/// `exec`; an empty input charges nothing.
 pub fn price_select(n: usize, n_preds: usize) -> ExecStats {
     if n == 0 {
         return ExecStats::default();
     }
     kernel::fixed_t_matrix_stats(n, 1, n_preds)
-}
-
-/// Analytic [`ExecStats`] for [`join`] over `n_specs` column pairs.
-pub fn price_join(exec: Execution, n_a: usize, n_b: usize, n_specs: usize) -> ExecStats {
-    if n_a == 0 || n_b == 0 {
-        return ExecStats::default();
-    }
-    match exec {
-        Execution::Marching => kernel::compare_run_stats(n_a, n_b, n_specs),
-        Execution::FixedOperand => kernel::fixed_t_matrix_stats(n_a, n_b, n_specs),
-        Execution::TiledPipelined(limits) if limits.max_cols >= n_specs => {
-            kernel::pipelined_stats(n_a, n_b, n_specs, limits)
-        }
-        Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
-            kernel::tiled_stats(n_a, n_b, n_specs, limits)
-        }
-    }
 }
 
 fn membership(
@@ -948,50 +899,13 @@ mod tests {
     }
 
     #[test]
-    fn prices_match_actual_run_stats_across_every_execution() {
-        // The re-pricing invariant: for every shape-pure operator, the
-        // price_* functions reproduce the exact ExecStats an actual run
-        // produces — including the empty-input short-circuits.
+    fn select_price_matches_actual_run_stats() {
         use crate::select::Predicate;
         let mut rng = StdRng::seed_from_u64(601);
-        let (a, b) = gen::pair_with_overlap(&mut rng, 13, 10, 2, 0.4);
-        let (a, b) = (a.into_multi(), b.into_multi());
-        let dupes = gen::with_duplicates(&mut rng, 9, 3, 3);
+        let a = gen::pair_with_overlap(&mut rng, 13, 10, 2, 0.4)
+            .0
+            .into_multi();
         let empty = MultiRelation::empty(synth_schema(2));
-        for exec in EXECS {
-            let (n_a, n_b, m) = (a.len(), b.len(), a.arity());
-            let got = intersect(&a, &b, exec).unwrap().1;
-            assert_eq!(
-                price_membership(exec, n_a, n_b, m),
-                got,
-                "{exec:?} intersect"
-            );
-            let got = difference(&a, &b, exec).unwrap().1;
-            assert_eq!(
-                price_membership(exec, n_a, n_b, m),
-                got,
-                "{exec:?} difference"
-            );
-            let got = union(&a, &b, exec).unwrap().1;
-            assert_eq!(price_union(exec, n_a, n_b, m), got, "{exec:?} union");
-            let got = dedup(&dupes, exec).unwrap().1;
-            assert_eq!(
-                price_dedup(exec, dupes.len(), dupes.arity()),
-                got,
-                "{exec:?} dedup"
-            );
-            let got = project(&dupes, &[0, 2], exec).unwrap().1;
-            assert_eq!(price_project(exec, dupes.len(), 2), got, "{exec:?} project");
-            let specs = [JoinSpec::eq(0, 0)];
-            let got = join(&a, &b, &specs, exec).unwrap().1;
-            assert_eq!(price_join(exec, n_a, n_b, 1), got, "{exec:?} join");
-            // Empty inputs charge nothing, in price and in run alike.
-            let got = intersect(&empty, &b, exec).unwrap().1;
-            assert_eq!(price_membership(exec, 0, n_b, m), got, "{exec:?} empty");
-            assert_eq!(price_membership(exec, 0, n_b, m), ExecStats::default());
-            let got = join(&a, &empty, &specs, exec).unwrap().1;
-            assert_eq!(price_join(exec, n_a, 0, 1), got, "{exec:?} empty join");
-        }
         let preds = [Predicate::new(0, CompareOp::Gt, 2)];
         let got = select(&a, &preds, Execution::Marching).unwrap().1;
         assert_eq!(price_select(a.len(), 1), got, "select");

@@ -121,30 +121,6 @@ impl Device {
     pub fn run_ns(&self, stats: &ExecStats) -> u64 {
         (stats.pulses as f64 * self.clock_ns).ceil() as u64
     }
-
-    /// The [`ExecStats`] this device *would* accumulate running `op` over
-    /// inputs of the given shapes, without touching any data. `shapes` is
-    /// `(rows, arity)` per staged input, in [`Device::execute`]'s input
-    /// order. Division is refused: its second array pass depends on how
-    /// many dividend pairs hit the divisor, which no shape can predict.
-    pub fn price(&self, op: &PlanOp, shapes: &[(usize, usize)]) -> Result<ExecStats> {
-        if !self.can_execute(op) {
-            return Err(MachineError::NoDevice { kind: op.label() });
-        }
-        let exec = Execution::TiledPipelined(self.limits);
-        let stats = match op {
-            PlanOp::Intersect | PlanOp::Difference => {
-                ops::price_membership(exec, shapes[0].0, shapes[1].0, shapes[0].1)
-            }
-            PlanOp::Union => ops::price_union(exec, shapes[0].0, shapes[1].0, shapes[0].1),
-            PlanOp::Dedup => ops::price_dedup(exec, shapes[0].0, shapes[0].1),
-            PlanOp::Project(cols) => ops::price_project(exec, shapes[0].0, cols.len()),
-            PlanOp::Select(preds) => ops::price_select(shapes[0].0, preds.len()),
-            PlanOp::Join(specs) => ops::price_join(exec, shapes[0].0, shapes[1].0, specs.len()),
-            PlanOp::DivideBinary { .. } => return Err(MachineError::NoDevice { kind: op.label() }),
-        };
-        Ok(stats)
-    }
 }
 
 #[cfg(test)]
@@ -213,52 +189,6 @@ mod tests {
             Device::new(0, DeviceKind::Divide, limits(), 1.0, Backend::Sim).name,
             "divide0"
         );
-    }
-
-    #[test]
-    fn price_matches_execute_stats_and_refuses_division() {
-        use systolic_core::select::Predicate;
-        use systolic_fabric::CompareOp;
-        let rows_a: Vec<Vec<i64>> = (0..10).map(|i| vec![i, i % 3]).collect();
-        let rows_b: Vec<Vec<i64>> = (5..15).map(|i| vec![i, i % 4]).collect();
-        let a = MultiRelation::new(synth_schema(2), rows_a).unwrap();
-        let b = MultiRelation::new(synth_schema(2), rows_b).unwrap();
-        let cases: Vec<(DeviceKind, PlanOp, Vec<&MultiRelation>)> = vec![
-            (DeviceKind::SetOp, PlanOp::Intersect, vec![&a, &b]),
-            (DeviceKind::SetOp, PlanOp::Difference, vec![&a, &b]),
-            (DeviceKind::SetOp, PlanOp::Union, vec![&a, &b]),
-            (DeviceKind::SetOp, PlanOp::Dedup, vec![&a]),
-            (DeviceKind::SetOp, PlanOp::Project(vec![1]), vec![&a]),
-            (
-                DeviceKind::SetOp,
-                PlanOp::Select(vec![Predicate::new(0, CompareOp::Ge, 3)]),
-                vec![&a],
-            ),
-            (
-                DeviceKind::Join,
-                PlanOp::Join(vec![JoinSpec::eq(0, 0)]),
-                vec![&a, &b],
-            ),
-        ];
-        for (kind, op, inputs) in cases {
-            let dev = Device::new(0, kind, limits(), 350.0, Backend::Columnar);
-            let shapes: Vec<(usize, usize)> = inputs.iter().map(|r| (r.len(), r.arity())).collect();
-            let priced = dev.price(&op, &shapes).unwrap();
-            let (_, actual) = dev.execute(&op, &inputs).unwrap();
-            assert_eq!(priced, actual, "{op:?} price");
-        }
-        let div = Device::new(0, DeviceKind::Divide, limits(), 350.0, Backend::Columnar);
-        assert!(matches!(
-            div.price(
-                &PlanOp::DivideBinary {
-                    key: 1,
-                    ca: 0,
-                    cb: 0
-                },
-                &[(10, 2), (10, 2)]
-            ),
-            Err(MachineError::NoDevice { .. })
-        ));
     }
 
     #[test]

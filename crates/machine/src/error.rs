@@ -31,12 +31,6 @@ pub enum MachineError {
     },
     /// The machine has no memory modules / devices at all.
     EmptyConfiguration,
-    /// A plan step's cost is not a pure function of input cardinalities, so
-    /// [`crate::System::price_plan`] cannot reproduce it without the data.
-    Unpriceable {
-        /// The offending step kind (`store`, `divide`, ...).
-        step: String,
-    },
     /// The durable storage layer beneath a disk failed (I/O, corruption).
     /// Carries the rendered detail: the underlying error is not `Clone`.
     Storage {
@@ -63,9 +57,6 @@ impl fmt::Display for MachineError {
             ),
             MachineError::EmptyConfiguration => {
                 write!(f, "machine has no memories or devices")
-            }
-            MachineError::Unpriceable { step } => {
-                write!(f, "cannot price {step} from cardinalities alone")
             }
             MachineError::Storage { detail } => write!(f, "storage layer: {detail}"),
         }

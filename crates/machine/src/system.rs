@@ -278,9 +278,7 @@ pub struct RunOutcome {
     pub host_wall_ns: u64,
     /// Output cardinality of each plan step, positionally aligned with
     /// `plan.steps` (`Load` → rows delivered, `Op` → result rows, `Store` →
-    /// rows written back). These are the inputs [`System::price_plan`]
-    /// needs, so a coordinator that gathers them from partitioned runs can
-    /// re-price the whole plan.
+    /// rows written back).
     pub step_rows: Vec<u64>,
 }
 
@@ -1228,133 +1226,6 @@ impl System {
         record_run_metrics(&outcome.stats);
         Ok(outcome)
     }
-
-    /// Price a compiled plan from per-step output cardinalities alone,
-    /// without running any operator — the re-pricing half of relation
-    /// sharding. `cards[i]` is the output cardinality of `plan.steps[i]` as
-    /// observed by whoever actually ran the data (for a partitioned run:
-    /// the sum over the partitions' [`RunOutcome::step_rows`]).
-    ///
-    /// `Load` steps read the real disks, so this machine must hold the full
-    /// base relations; `Op` steps are charged [`Device::price`] stats over
-    /// phantom relations of the given cardinalities. Because every
-    /// shape-pure operator's [`systolic_core::ExecStats`] is a function of
-    /// input shape only, the returned `stats`, `timeline` and `step_rows`
-    /// are bit-identical to [`System::run_plan`] on the same machine
-    /// whenever `cards` matches what that run would produce. The `result`
-    /// relation is a shape-only placeholder and must not be read.
-    ///
-    /// Plans containing `store(...)` or division are refused
-    /// ([`MachineError::Unpriceable`]): their cost depends on the data, not
-    /// just its shape. So are ops whose eligible devices disagree on array
-    /// limits (the stats would depend on which instance the clock history
-    /// picks).
-    pub fn price_plan(&mut self, plan: &Plan, cards: &[u64]) -> Result<RunOutcome> {
-        use systolic_fabric::CompareOp;
-        use systolic_relation::gen::synth_schema;
-
-        let _run_span = telemetry::span("machine.price");
-        let host_start = std::time::Instant::now();
-        if cards.len() != plan.steps.len() {
-            return Err(MachineError::Unpriceable {
-                step: format!(
-                    "plan of {} steps given {} cardinalities",
-                    plan.steps.len(),
-                    cards.len()
-                ),
-            });
-        }
-        // Output shape per step output name, for pricing downstream ops.
-        let mut shapes: HashMap<&str, (usize, usize)> = HashMap::new();
-        let mut records: Vec<StepExec> = Vec::with_capacity(plan.steps.len());
-        for step in &plan.steps {
-            match &step.action {
-                Action::Load { relation, filter } => {
-                    let record = self.disk_of(relation).and_then(|disk_id| {
-                        self.disks[disk_id]
-                            .read(relation, *filter)
-                            .map(|(delivered, duration)| LoadExec {
-                                delivered,
-                                duration,
-                                disk_id,
-                            })
-                    });
-                    if let Ok(load) = &record {
-                        shapes.insert(
-                            step.output.as_str(),
-                            (load.delivered.len(), load.delivered.arity()),
-                        );
-                    }
-                    records.push(StepExec::Load(record));
-                }
-                Action::Op { op, inputs } => {
-                    let staged: Option<Vec<(usize, usize)>> = inputs
-                        .iter()
-                        .map(|n| shapes.get(n.as_str()).copied())
-                        .collect();
-                    let Some(staged) = staged else {
-                        // An input's Load failed; the accounting pass below
-                        // surfaces that error first (deps precede this step),
-                        // so this record is never reached.
-                        records.push(StepExec::Op(Some(Err(MachineError::Unpriceable {
-                            step: format!("{} with unresolved inputs", op.label()),
-                        }))));
-                        continue;
-                    };
-                    use crate::plan::PlanOp;
-                    let m_out = match op {
-                        PlanOp::Intersect
-                        | PlanOp::Difference
-                        | PlanOp::Union
-                        | PlanOp::Dedup
-                        | PlanOp::Select(_) => staged[0].1,
-                        PlanOp::Project(cols) => cols.len(),
-                        PlanOp::Join(specs) => {
-                            let pure_equi = specs.iter().all(|s| s.op == CompareOp::Eq);
-                            let dropped = if pure_equi { specs.len() } else { 0 };
-                            staged[0].1 + staged[1].1 - dropped
-                        }
-                        PlanOp::DivideBinary { .. } => {
-                            return Err(MachineError::Unpriceable { step: op.label() })
-                        }
-                    };
-                    let eligible: Vec<&Device> =
-                        self.devices.iter().filter(|d| d.can_execute(op)).collect();
-                    let first = *eligible
-                        .first()
-                        .ok_or_else(|| MachineError::NoDevice { kind: op.label() })?;
-                    if eligible.iter().any(|d| d.limits != first.limits) {
-                        return Err(MachineError::Unpriceable {
-                            step: format!("{} on devices with unequal limits", op.label()),
-                        });
-                    }
-                    let run_stats = first.price(op, &staged)?;
-                    let rows_out = cards[step.id] as usize;
-                    // A placeholder relation with the right shape: account()
-                    // only uses its row count and arity (staging bytes).
-                    let phantom = if rows_out == 0 {
-                        MultiRelation::empty(synth_schema(m_out))
-                    } else {
-                        let rows = (0..rows_out as i64).map(|i| vec![i; m_out]).collect();
-                        MultiRelation::new(synth_schema(m_out), rows)?
-                    };
-                    shapes.insert(step.output.as_str(), (rows_out, m_out));
-                    records.push(StepExec::Op(Some(Ok((phantom, run_stats)))));
-                }
-                Action::Store { .. } => {
-                    return Err(MachineError::Unpriceable {
-                        step: "store".into(),
-                    })
-                }
-            }
-        }
-        let mut t = self.transient();
-        let mut outcome = self.account(plan, &records, &mut t)?;
-        self.memories = t.memories;
-        outcome.host_wall_ns = host_start.elapsed().as_nanos() as u64;
-        record_run_metrics(&outcome.stats);
-        Ok(outcome)
-    }
 }
 
 #[cfg(test)]
@@ -1462,88 +1333,6 @@ mod tests {
         assert_eq!(out.result.len(), 10);
         // Only the filtered rows were staged.
         assert_eq!(out.stats.bytes_from_disk, 10 * 2 * 4);
-    }
-
-    #[test]
-    fn price_plan_is_bit_identical_to_run_plan() {
-        use crate::plan::push_selections;
-        use crate::storage::TrackFilter;
-        use systolic_core::select::Predicate;
-        use systolic_fabric::CompareOp;
-        // One expression per shape-pure operator family, including
-        // multi-step plans and a filtered scan.
-        let exprs: Vec<Expr> = vec![
-            Expr::scan("a").intersect(Expr::scan("b")),
-            Expr::scan("a").difference(Expr::scan("b")),
-            Expr::scan("a")
-                .union(Expr::scan("b"))
-                .difference(Expr::scan("c")),
-            Expr::scan("a").dedup(),
-            Expr::scan("a").project(vec![1]),
-            Expr::scan("a").select(vec![Predicate::new(0, CompareOp::Ge, 40)]),
-            Expr::scan("a").join(Expr::scan("b"), vec![JoinSpec::eq(0, 0)]),
-            Expr::scan_filtered(
-                "a",
-                TrackFilter {
-                    col: 0,
-                    op: CompareOp::Lt,
-                    value: 20,
-                },
-            )
-            .intersect(Expr::scan("b")),
-            // Empty intermediate: a ∩ c is empty, so downstream ops
-            // short-circuit — priced and run alike.
-            Expr::scan("a")
-                .intersect(Expr::scan("c"))
-                .union(Expr::scan("b")),
-        ];
-        for expr in &exprs {
-            let mut runner = System::default_machine();
-            let mut pricer = System::default_machine();
-            for sys in [&mut runner, &mut pricer] {
-                sys.load_base("a", seq(0..50));
-                sys.load_base("b", seq(25..75));
-                sys.load_base("c", seq(100..110));
-            }
-            let plan = Plan::compile(&push_selections(expr.clone()));
-            let ran = runner.run_plan(&plan).unwrap();
-            let priced = pricer.price_plan(&plan, &ran.step_rows).unwrap();
-            assert_eq!(priced.stats, ran.stats, "{expr} stats");
-            assert_eq!(priced.step_rows, ran.step_rows, "{expr} step_rows");
-            assert_eq!(
-                priced.timeline.events(),
-                ran.timeline.events(),
-                "{expr} timeline"
-            );
-            // Pricing is repeatable on the same long-lived machine: every
-            // pass starts from fresh transient state.
-            let again = pricer.price_plan(&plan, &ran.step_rows).unwrap();
-            assert_eq!(again.stats, ran.stats, "{expr} repriced stats");
-        }
-    }
-
-    #[test]
-    fn price_plan_refuses_data_dependent_steps() {
-        let mut sys = System::default_machine();
-        sys.load_base("takes", rel(vec![vec![1, 10], vec![1, 11], vec![2, 10]]));
-        sys.load_base("courses", rel(vec![vec![10], vec![11]]));
-        let divide = Plan::compile(&Expr::scan("takes").divide(Expr::scan("courses"), 0, 1, 0));
-        let cards = vec![0; divide.steps.len()];
-        assert!(matches!(
-            sys.price_plan(&divide, &cards),
-            Err(MachineError::Unpriceable { .. })
-        ));
-        let store = Plan::compile(&Expr::scan("takes").dedup().store("kept"));
-        let cards = vec![0; store.steps.len()];
-        assert!(matches!(
-            sys.price_plan(&store, &cards),
-            Err(MachineError::Unpriceable { .. })
-        ));
-        let wrong_len = Plan::compile(&Expr::scan("takes").dedup());
-        assert!(matches!(
-            sys.price_plan(&wrong_len, &[1]),
-            Err(MachineError::Unpriceable { .. })
-        ));
     }
 
     #[test]

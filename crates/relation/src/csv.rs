@@ -15,8 +15,8 @@ use crate::schema::Schema;
 
 /// Split one CSV line into fields (handles double-quoted fields with
 /// doubled-quote escapes). Public so consumers working at the rendered-text
-/// level (e.g. a shard router partitioning and merging result lines) use
-/// the same dialect as import/export.
+/// level (e.g. reading result lines back) use the same dialect as
+/// import/export.
 pub fn split_line(line: &str) -> Result<Vec<String>, RelationError> {
     let mut fields = Vec::new();
     let mut cur = String::new();
@@ -90,15 +90,6 @@ fn parse_field(kind: DomainKind, field: &str) -> Result<Datum, RelationError> {
         },
         DomainKind::Str => Ok(Datum::Str(field.to_string())),
     }
-}
-
-/// Canonicalise one field: parse it under `kind` and render it back the way
-/// [`export_csv`] would (`" 30 "` → `"30"`, `"1"` → `"true"` for booleans,
-/// `"19000"` → `"day#19000"` for dates). Text-level consumers (the shard
-/// router) cache canonical fields so their rendered rows compare equal,
-/// byte for byte, with engine output.
-pub fn canonical_field(kind: DomainKind, field: &str) -> Result<String, RelationError> {
-    Ok(parse_field(kind, field)?.to_string())
 }
 
 /// Import CSV text as a multi-relation under `schema`, interning new string
@@ -249,23 +240,6 @@ mod tests {
         );
         let text = export_csv(&cat, &rel).unwrap();
         assert!(text.contains("day#19000"));
-    }
-
-    #[test]
-    fn canonical_fields_match_export_rendering() {
-        assert_eq!(canonical_field(DomainKind::Int, " 30 ").unwrap(), "30");
-        assert_eq!(canonical_field(DomainKind::Bool, "1").unwrap(), "true");
-        assert_eq!(canonical_field(DomainKind::Bool, "false").unwrap(), "false");
-        assert_eq!(
-            canonical_field(DomainKind::Date, "19000").unwrap(),
-            "day#19000"
-        );
-        assert_eq!(canonical_field(DomainKind::Date, "day#7").unwrap(), "day#7");
-        assert_eq!(
-            canonical_field(DomainKind::Str, "doe, jane").unwrap(),
-            "doe, jane"
-        );
-        assert!(canonical_field(DomainKind::Int, "x").is_err());
     }
 
     #[test]

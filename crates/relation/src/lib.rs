@@ -33,7 +33,7 @@ pub mod store;
 
 pub use catalog::Catalog;
 pub use columnar::{ColumnarRelation, CompositeSpec};
-pub use csv::{canonical_field, export_csv, import_csv, render_field, split_line};
+pub use csv::{export_csv, import_csv, render_field, split_line};
 pub use domain::{Datum, Domain, DomainId, DomainKind, Elem};
 pub use error::RelationError;
 pub use relation::{MultiRelation, Relation, Row};

@@ -5,12 +5,10 @@ use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use systolic_telemetry::TraceCtx;
-
 use crate::frame::escape;
 use crate::protocol::{
     parse_checkpointed_frame, parse_host_frame, parse_metrics_frame, parse_profile_frame,
-    parse_profiles_frame, parse_result_frame, parse_spans_frame, queryc_request,
+    parse_profiles_frame, parse_result_frame,
 };
 
 /// Client-side failures.
@@ -162,57 +160,6 @@ impl Client {
             host_ns,
             raw,
         })
-    }
-
-    /// Run a query via `QUERYC` and return the raw `RESULT` frame, the
-    /// per-plan-step output cardinalities from the `CARDS` frame, and the
-    /// host nanoseconds — the shard-router protocol, also usable directly.
-    pub fn query_cards(&mut self, query: &str) -> Result<(String, Vec<u64>, u64), ClientError> {
-        self.send_query_cards(query, None)?;
-        let (result, cards, host_ns, _spans) = self.recv_query_cards(false)?;
-        Ok((result, cards, host_ns))
-    }
-
-    /// Send a `QUERYC` frame without waiting for the answer (the router
-    /// fans one out to every shard before reading any reply, so the shards
-    /// compute concurrently). A `trace` stamp asks the shard to trail its
-    /// answer with a `SPANS` batch parented under that context.
-    pub(crate) fn send_query_cards(
-        &mut self,
-        query: &str,
-        trace: Option<TraceCtx>,
-    ) -> Result<(), ClientError> {
-        self.send(&queryc_request(query, trace))
-    }
-
-    /// Read one `QUERYC` answer: `RESULT` + `CARDS` + `HOST`, plus the
-    /// `SPANS` trailer when the request carried a trace stamp.
-    pub(crate) fn recv_query_cards(
-        &mut self,
-        expect_spans: bool,
-    ) -> Result<(String, Vec<u64>, u64, Option<String>), ClientError> {
-        let result = self.recv()?;
-        Self::check_err(&result)?;
-        if !result.starts_with("RESULT ") {
-            return Err(ClientError::Protocol(format!(
-                "expected RESULT frame, got {result:?}"
-            )));
-        }
-        let cards_line = self.recv()?;
-        Self::check_err(&cards_line)?;
-        let cards =
-            crate::protocol::parse_cards_frame(&cards_line).map_err(ClientError::Protocol)?;
-        let host = self.recv()?;
-        Self::check_err(&host)?;
-        let host_ns = crate::protocol::parse_host_frame(&host).map_err(ClientError::Protocol)?;
-        let spans = if expect_spans {
-            let frame = self.recv()?;
-            Self::check_err(&frame)?;
-            Some(parse_spans_frame(&frame).map_err(ClientError::Protocol)?)
-        } else {
-            None
-        };
-        Ok((result, cards, host_ns, spans))
     }
 
     /// Run a query via `PROFILE` and return the parsed answer plus the

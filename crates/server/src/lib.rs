@@ -54,7 +54,6 @@ mod profile;
 pub mod protocol;
 #[cfg(unix)]
 mod reactor;
-mod router;
 mod scheduler;
 pub mod server;
 mod shutdown;

@@ -347,10 +347,7 @@ impl FlightRecorder {
 
 /// Build the server's shutdown Chrome trace on the two-clock pid
 /// convention: pid 1 carries the retained profiles' per-step simulated
-/// schedule, pid 2 carries every host span — the server's own and the
-/// trailer batches shards returned — deduplicated by (trace, span) id so
-/// in-process shards (which share the process collector) don't double
-/// their spans.
+/// schedule, pid 2 carries every host span the server collected.
 pub(crate) fn server_trace(spans: &[SpanData], profiles: &[QueryProfile]) -> ChromeTrace {
     let mut trace = ChromeTrace::new();
     trace.set_process_name(PID_SIMULATED, "simulated machine (pulse time)");
@@ -383,7 +380,6 @@ pub(crate) fn server_trace(spans: &[SpanData], profiles: &[QueryProfile]) -> Chr
             );
         }
     }
-    let mut seen = std::collections::HashSet::new();
     let mut threads: Vec<&str> = spans.iter().map(|s| s.thread.as_str()).collect();
     threads.sort_unstable();
     threads.dedup();
@@ -391,9 +387,6 @@ pub(crate) fn server_trace(spans: &[SpanData], profiles: &[QueryProfile]) -> Chr
         trace.set_thread_name(PID_HOST, tid as u32 + 1, thread);
     }
     for span in spans {
-        if !seen.insert((span.trace_id, span.span_id)) {
-            continue;
-        }
         let tid = threads.iter().position(|t| *t == span.thread).unwrap_or(0) as u32 + 1;
         let mut args = vec![
             ("trace_id".to_string(), ArgValue::U64(span.trace_id)),
@@ -520,7 +513,7 @@ mod tests {
     }
 
     #[test]
-    fn server_traces_dedup_spans_and_track_devices() {
+    fn server_traces_put_host_spans_and_device_steps_on_their_pids() {
         let span = SpanData {
             name: "server.request".to_string(),
             trace_id: 9,
@@ -531,14 +524,14 @@ mod tests {
             thread: "worker-0".to_string(),
             args: vec![("query".to_string(), "scan(emp)".to_string())],
         };
-        let trace = server_trace(&[span.clone(), span], &[sample_profile()]);
+        let trace = server_trace(&[span], &[sample_profile()]);
         let doc = json::parse(&trace.to_json()).unwrap();
         let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
         let completes: Vec<&Json> = events
             .iter()
             .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
             .collect();
-        // One host span (duplicate removed) + one simulated step.
+        // One host span + one simulated step.
         assert_eq!(completes.len(), 2);
         let pids: Vec<u64> = completes
             .iter()

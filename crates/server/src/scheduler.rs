@@ -25,7 +25,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use systolic_machine::{Expr, MachineError, Plan, RunStats, System, Timeline};
+use systolic_machine::{Expr, MachineError, RunStats, System, Timeline};
 use systolic_relation::{DomainKind, MultiRelation};
 use systolic_storage::StorageEngine;
 use systolic_telemetry::{root_span, span_in, TraceCtx};
@@ -124,8 +124,8 @@ pub(crate) struct QueryReply {
     /// (the whole batch, when batched — it ran as one schedule).
     pub host_wall_ns: u64,
     /// Per-plan-step output cardinalities (see
-    /// [`systolic_machine::RunOutcome::step_rows`]) — what a shard reports
-    /// via `CARDS` so a router can re-price the merged run.
+    /// [`systolic_machine::RunOutcome::step_rows`]) — the actual rows
+    /// `PROFILE` reports for each step.
     pub step_rows: Vec<u64>,
     /// The query's standalone simulated schedule (solo-accounted even when
     /// it ran in a merged batch) — what the profiler mines for per-step
@@ -161,23 +161,6 @@ pub(crate) enum Job {
         reply: SyncSender<Result<QueryReply, MachineError>>,
         /// When the worker submitted the job (host clock; feeds the
         /// profile's queue-wait, never pulse accounting).
-        submitted: Instant,
-    },
-    /// Price a prepared query from per-step cardinalities gathered off the
-    /// machine (the shard router's merge path) — real disk reads for the
-    /// `Load` steps, analytic stats for the `Op` steps, no operator runs.
-    Price {
-        /// The prepared expression (identical to what the shards ran).
-        expr: Expr,
-        /// Summed per-step output cardinalities across the shards.
-        cards: Vec<u64>,
-        /// The submitting request's trace context.
-        trace: Option<TraceCtx>,
-        /// Timeout fence, shared with the submitting worker (see [`claim`]).
-        fence: Arc<AtomicBool>,
-        /// Where to deliver the priced outcome.
-        reply: SyncSender<Result<QueryReply, MachineError>>,
-        /// When the worker submitted the job (host clock).
         submitted: Instant,
     },
     /// Load an encoded relation onto the machine's disk.
@@ -265,34 +248,6 @@ pub(crate) fn run(
                         None => Err("server is running without --data-dir".to_string()),
                     };
                     let _ = reply.send(answer);
-                }
-                Job::Price {
-                    expr,
-                    cards,
-                    trace,
-                    fence,
-                    reply,
-                    submitted,
-                } => {
-                    if !claim(&fence) {
-                        continue;
-                    }
-                    counters.update(|c| c.queries += 1);
-                    metrics.queries.add(1);
-                    let queue_wait_ns = submitted.elapsed().as_nanos() as u64;
-                    let _span = span_in(trace, "server.price");
-                    let plan = Plan::compile(&expr);
-                    let _ = reply.send(system.price_plan(&plan, &cards).map(|o| QueryReply {
-                        result: o.result,
-                        stats: o.stats,
-                        host_wall_ns: o.host_wall_ns,
-                        step_rows: o.step_rows,
-                        timeline: o.timeline,
-                        queue_wait_ns,
-                        wal_fsync_ns: 0,
-                        pool_hits: 0,
-                        pool_misses: 0,
-                    }));
                 }
                 Job::Query {
                     expr,

@@ -19,9 +19,9 @@ use std::time::{Duration, Instant};
 
 use systolic_machine::{Expr, MachineConfig, Plan, System};
 use systolic_storage::{LockMode, LockTable, ReplacerKind, StorageEngine, WalRecord};
-use systolic_telemetry::batch::{render_batch, SpanData};
+use systolic_telemetry::batch::SpanData;
 use systolic_telemetry::metrics::QuantileSummary;
-use systolic_telemetry::{record_between, root_span, span_in, TraceCtx};
+use systolic_telemetry::{record_between, root_span, TraceCtx};
 
 use crate::engine::{self, EngineError, Store};
 use crate::frame::{read_frame, FrameRead};
@@ -29,11 +29,9 @@ use crate::locks;
 use crate::metrics::ServerMetrics;
 use crate::profile::{self, FlightRecorder, QueryProfile};
 use crate::protocol::{
-    analysis_err_frame, cards_frame, checkpointed_frame, err_frame, host_frame, loaded_frame,
-    metrics_frame, parse_err_frame, parse_request, profile_frame, profiles_frame, result_frame,
-    spans_frame, Request,
+    analysis_err_frame, checkpointed_frame, err_frame, host_frame, loaded_frame, metrics_frame,
+    parse_err_frame, parse_request, profile_frame, profiles_frame, result_frame, Request,
 };
-use crate::router::{RouteOutcome, Router};
 use crate::scheduler::{self, Job};
 use crate::shutdown;
 
@@ -83,8 +81,9 @@ pub struct ServerConfig {
     /// The connection front end: classic thread-per-connection or the
     /// poll(2) reactor.
     pub io: IoModel,
-    /// Number of independent machine shards relations are partitioned
-    /// across; `1` runs the classic single-`System` server.
+    /// Must be 1: every server runs exactly one `System`. Kept only until
+    /// the benchmark's pinned config stops setting it; [`spawn`] and [`run`]
+    /// refuse any other value with `InvalidInput`.
     pub shards: usize,
     /// Configuration of the shared simulated machine.
     pub machine: MachineConfig,
@@ -114,10 +113,9 @@ pub struct ServerConfig {
     /// staging-memory eviction.
     pub replacer: ReplacerKind,
     /// Chrome-trace output path. When set, the server installs the process
-    /// span collector at startup and, at shutdown, writes one merged trace
-    /// covering its own spans, every shard's trailer span batches, and the
-    /// flight recorder's simulated per-step schedule — host time on pid 2,
-    /// pulse time on pid 1, never mixed.
+    /// span collector at startup and, at shutdown, writes one trace covering
+    /// its own spans and the flight recorder's simulated per-step schedule —
+    /// host time on pid 2, pulse time on pid 1, never mixed.
     pub trace_out: Option<PathBuf>,
     /// Flight-recorder capacity: how many recent query profiles the server
     /// retains for `PROFILES` and the shutdown trace (0 disables it).
@@ -189,8 +187,6 @@ pub(crate) struct CounterState {
     pub(crate) timeouts: u64,
     pub(crate) slow_queries: u64,
     pub(crate) queue_hwm: u64,
-    pub(crate) sharded: u64,
-    pub(crate) shard_fallback: u64,
     pub(crate) rewrites: u64,
     pub(crate) plan_cache_hits: u64,
     pub(crate) cse_hits: u64,
@@ -227,10 +223,6 @@ pub struct ServerReport {
     pub queue_hwm: u64,
     /// Queries slower than the slow-query threshold.
     pub slow_queries: u64,
-    /// Queries answered by the shard router (fan-out + merge).
-    pub sharded: u64,
-    /// Queries the router declined, served by the local full-copy system.
-    pub shard_fallback: u64,
     /// Planner rewrites accepted across all compiled queries.
     pub rewrites: u64,
     /// Queries whose optimized plan came from the plan cache.
@@ -248,10 +240,6 @@ pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
     pub(crate) stop: AtomicBool,
     pub(crate) started: Instant,
-    /// The shard router, when `cfg.shards > 1`. The local system always
-    /// holds a full copy of every table, so routing is an optimisation and
-    /// any declined or failed route runs locally instead.
-    pub(crate) router: Option<Router>,
     /// Relation-name lock table: `LOAD` and `store(...)` take exclusive
     /// locks, scans take shared ones, so a concurrent reader can never
     /// observe a partially-loaded relation.
@@ -261,9 +249,6 @@ pub(crate) struct Shared {
     /// The always-on ring of recent query profiles (`PROFILES`, the
     /// slow-query dump, the shutdown trace's simulated track).
     pub(crate) recorder: FlightRecorder,
-    /// Span batches shards returned in `SPANS` trailers, buffered for the
-    /// shutdown trace merge.
-    pub(crate) remote_spans: Mutex<Vec<SpanData>>,
     /// Compiled-plan cache: query text + catalog fingerprint → the chosen
     /// expression. The fingerprint covers every table's name, arity, row
     /// count, and column domains, so a `LOAD` or `store(...)` that changes
@@ -278,13 +263,14 @@ const PLAN_CACHE_CAP: usize = 1024;
 
 impl Shared {
     fn new(cfg: ServerConfig) -> io::Result<Self> {
+        if cfg.shards != 1 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("shards must be 1, got {}", cfg.shards),
+            ));
+        }
         let metrics = Arc::new(ServerMetrics::new());
         metrics.backend_info(cfg.machine.backend.label()).inc();
-        let router = if cfg.shards > 1 {
-            Some(Router::start(&cfg)?)
-        } else {
-            None
-        };
         let durable = cfg
             .data_dir
             .as_ref()
@@ -298,11 +284,9 @@ impl Shared {
             cfg,
             stop: AtomicBool::new(false),
             started: Instant::now(),
-            router,
             lock_table: LockTable::new(),
             durable,
             recorder,
-            remote_spans: Mutex::new(Vec::new()),
             plan_cache: Mutex::new(HashMap::new()),
         })
     }
@@ -322,8 +306,6 @@ impl Shared {
             timeouts: c.timeouts,
             queue_hwm: c.queue_hwm,
             slow_queries: c.slow_queries,
-            sharded: c.sharded,
-            shard_fallback: c.shard_fallback,
             rewrites: c.rewrites,
             plan_cache_hits: c.plan_cache_hits,
             cse_hits: c.cse_hits,
@@ -451,9 +433,7 @@ fn serve_on(
 ) -> io::Result<ServerReport> {
     listener.set_nonblocking(true)?;
     // Tracing on: install the process-global collector before any request
-    // runs. In-process shard servers share it, so their spans land here
-    // directly *and* arrive again via `SPANS` trailers — the shutdown merge
-    // deduplicates by (trace, span) id.
+    // runs.
     let trace_collector = shared
         .cfg
         .trace_out
@@ -521,13 +501,9 @@ fn serve_on(
             front_err = Some(e);
         }
     });
-    if let Some(router) = &shared.router {
-        router.stop();
-    }
     if let (Some(path), Some(collector)) = (&shared.cfg.trace_out, trace_collector) {
         systolic_telemetry::uninstall();
-        let mut spans: Vec<SpanData> = collector.drain().iter().map(SpanData::from).collect();
-        spans.append(&mut locks::lock(&shared.remote_spans));
+        let spans: Vec<SpanData> = collector.drain().iter().map(SpanData::from).collect();
         let trace = profile::server_trace(&spans, &shared.recorder.profiles());
         if let Err(e) = trace.write_to(path) {
             eprintln!("trace-out: failed to write {}: {e}", path.display());
@@ -564,12 +540,6 @@ fn replay(shared: &Shared, system: &mut System, records: &[WalRecord]) {
                     }
                 };
                 system.load_base(name.clone(), rel);
-                if let Some(router) = &shared.router {
-                    // The shards recovered their partitions from their own
-                    // logs; only the router's text-level cache needs
-                    // rebuilding — without re-forwarding the rows.
-                    router.register_recovered(name, &parsed, csv);
-                }
             }
             WalRecord::Query { text } => {
                 // Only queries with store(...) side effects are logged; the
@@ -736,27 +706,10 @@ pub(crate) fn handle_request(shared: &Shared, tx: &mpsc::Sender<Job>, line: &str
         Request::Load { name, kinds, csv } => {
             Reply::frame(handle_load(shared, tx, &name, &kinds, &csv))
         }
-        Request::Query(query) => respond_query(shared, tx, &query, QueryMode::Plain, None),
-        Request::Profile(query) => respond_query(shared, tx, &query, QueryMode::Profile, None),
-        Request::QueryCards { query, trace } => {
-            respond_query(shared, tx, &query, QueryMode::Cards, trace)
-        }
+        Request::Query(query) => respond_query(shared, tx, &query, false),
+        Request::Profile(query) => respond_query(shared, tx, &query, true),
         Request::Checkpoint => Reply::frame(handle_checkpoint(shared, tx)),
     }
-}
-
-/// How a query's answer is framed: `QUERY` (two frames), `QUERYC` (plus
-/// `CARDS`, and a `SPANS` trailer when trace-stamped), or `PROFILE` (plus
-/// the inline `PROFILE` frame).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueryMode {
-    /// Public `QUERY`: `RESULT` + `HOST`, byte-identical with or without
-    /// profiling anywhere else in the system.
-    Plain,
-    /// Shard-router `QUERYC`: `RESULT` + `CARDS` + `HOST`.
-    Cards,
-    /// `PROFILE`: `RESULT` + `PROFILE` + `HOST`.
-    Profile,
 }
 
 /// Answer a `CHECKPOINT`: ask the scheduler (the thread that owns the WAL)
@@ -781,30 +734,24 @@ fn handle_checkpoint(shared: &Shared, tx: &mpsc::Sender<Job>) -> String {
     }
 }
 
-/// Answer a `QUERY`/`QUERYC`/`PROFILE` under the request span, latency
+/// Answer a `QUERY` (`RESULT` + `HOST`) or, with `with_profile`, a
+/// `PROFILE` (`RESULT` + `PROFILE` + `HOST`) under the request span, latency
 /// histogram, flight recorder, and slow-query log. Both connection front
-/// ends route every query (local or shard-fanned-out) through here, so the
-/// slow-query log and the recorder fire identically under `--io threads`
-/// and `--io poll`, sharded or not.
+/// ends route every query through here, so the slow-query log and the
+/// recorder fire identically under `--io threads` and `--io poll`.
 fn respond_query(
     shared: &Shared,
     tx: &mpsc::Sender<Job>,
     query: &str,
-    mode: QueryMode,
-    stamp: Option<TraceCtx>,
+    with_profile: bool,
 ) -> Reply {
     let started = Instant::now();
     // A fresh trace per request: concurrent clients must never share a
     // trace id even when the scheduler merges them into one batch schedule.
-    // A stamped `QUERYC` instead joins the router's trace, parented under
-    // its fan-out span, so all shards' spans merge into one tree.
-    let mut span = match stamp {
-        Some(parent) => span_in(Some(parent), "server.request"),
-        None => root_span("server.request"),
-    };
+    let mut span = root_span("server.request");
     span.arg("query", query);
     let trace = span.ctx();
-    let (mut frames, profile) = handle_query(shared, tx, query, trace, mode);
+    let (frames, profile) = handle_query(shared, tx, query, trace, with_profile);
     drop(span);
     let elapsed = started.elapsed();
     shared.metrics.latency.observe(elapsed.as_nanos() as u64);
@@ -834,21 +781,6 @@ fn respond_query(
         shared.counters.update(|c| c.slow_queries += 1);
         shared.metrics.slow_queries.inc();
         eprintln!("{line}");
-    }
-    // A trace-stamped shard answer grows its `SPANS` trailer after the
-    // request span has closed, so the batch includes it.
-    if mode == QueryMode::Cards {
-        if let Some(parent) = stamp {
-            let batch: Vec<SpanData> = systolic_telemetry::collector()
-                .map(|c| {
-                    c.trace_spans(parent.trace_id)
-                        .iter()
-                        .map(SpanData::from)
-                        .collect()
-                })
-                .unwrap_or_default();
-            frames.push(spans_frame(&render_batch(&batch)));
-        }
     }
     Reply {
         frames,
@@ -915,8 +847,8 @@ fn stats_frame(shared: &Shared) -> String {
     format!(
         "STATS tables={tables} queries={} loads={} batches={} max_batch={} refused={} \
          timeouts={} active={} uptime_ms={} queue_hwm={} slow={} lat_p50_ns={} \
-         lat_p95_ns={} lat_p99_ns={} lat_count={} backend={} sharded={} \
-         shard_fallback={} durable={durable} wal_records={wal_records} \
+         lat_p95_ns={} lat_p99_ns={} lat_count={} backend={} \
+         durable={durable} wal_records={wal_records} \
          wal_bytes={wal_bytes} checkpoints={checkpoints} recovered={recovered} \
          optimize={optimize} rewrites={} plan_cache_hits={} cse_hits={}",
         report.queries,
@@ -934,8 +866,6 @@ fn stats_frame(shared: &Shared) -> String {
         lat.p99,
         lat.count,
         shared.cfg.machine.backend.label(),
-        report.sharded,
-        report.shard_fallback,
         report.rewrites,
         report.plan_cache_hits,
         report.cse_hits,
@@ -1020,14 +950,14 @@ fn handle_load(
         return err_frame("shutting_down", "scheduler has exited");
     }
     match reply_rx.recv_timeout(shared.cfg.request_timeout) {
-        Ok(rows) => loaded_shard_forwarded(shared, name, kinds, csv, rows),
+        Ok(rows) => loaded_frame(name, rows),
         Err(RecvTimeoutError::Timeout) => {
             if fence.swap(true, Ordering::SeqCst) {
                 // The scheduler claimed the fence first: the load is landing
                 // (or has landed) on the machine, so wait for the real
                 // acknowledgement rather than telling the client a lie.
                 match reply_rx.recv() {
-                    Ok(rows) => loaded_shard_forwarded(shared, name, kinds, csv, rows),
+                    Ok(rows) => loaded_frame(name, rows),
                     Err(_) => err_frame("shutting_down", "scheduler exited mid-load"),
                 }
             } else {
@@ -1047,22 +977,6 @@ fn handle_load(
             err_frame("shutting_down", "scheduler has exited")
         }
     }
-}
-
-/// Forward a successfully-loaded table's partitions to the shards (when
-/// routing), then answer `LOADED`. Forwarding failure only degrades the
-/// table to local-only — the local load is the truth the client was told.
-fn loaded_shard_forwarded(
-    shared: &Shared,
-    name: &str,
-    kinds: &[systolic_relation::DomainKind],
-    csv: &str,
-    rows: usize,
-) -> String {
-    if let Some(router) = &shared.router {
-        router.register_load(name, kinds, csv);
-    }
-    loaded_frame(name, rows)
 }
 
 /// Run the cost-based plan compiler over a checked expression, consulting
@@ -1115,15 +1029,15 @@ fn optimize_plan(
     }
 }
 
-/// Answer one query: the `RESULT` (or `ERR`) frame, the `CARDS` frame for
-/// `QUERYC`, the `PROFILE` frame for `PROFILE`, and the `HOST` frame on
-/// success — plus the built [`QueryProfile`] for the flight recorder.
+/// Answer one query: the `RESULT` (or `ERR`) frame, the `PROFILE` frame
+/// when `with_profile`, and the `HOST` frame on success — plus the built
+/// [`QueryProfile`] for the flight recorder.
 fn handle_query(
     shared: &Shared,
     tx: &mpsc::Sender<Job>,
     query: &str,
     trace: Option<TraceCtx>,
-    mode: QueryMode,
+    with_profile: bool,
 ) -> (Vec<String>, Option<QueryProfile>) {
     // Static analysis before admission: a query that cannot execute (typo'd
     // relation, type error, capacity overflow, ...) never occupies a slot in
@@ -1169,48 +1083,6 @@ fn handle_query(
     let lock_started = Instant::now();
     let _lock = shared.lock_table.acquire_all(wants);
     let lock_wait_ns = lock_started.elapsed().as_nanos() as u64;
-    let finish = |result: String, reply: &scheduler::QueryReply, rows: u64| {
-        let built = profile::build(
-            query,
-            trace.map_or(0, |c| c.trace_id),
-            shared.cfg.machine.backend.label(),
-            analysis.as_ref(),
-            &alignment,
-            &plan,
-            reply,
-            rows,
-            lock_wait_ns,
-            QuantileSummary::from_histogram(&shared.metrics.latency),
-        );
-        let mut frames = vec![result];
-        match mode {
-            QueryMode::Plain => {}
-            QueryMode::Cards => frames.push(cards_frame(&reply.step_rows)),
-            QueryMode::Profile => frames.push(profile_frame(&built.to_json())),
-        }
-        frames.push(host_frame(reply.host_wall_ns));
-        (frames, Some(built))
-    };
-    if let Some(router) = &shared.router {
-        match router.try_query(shared, tx, &expr, query, trace) {
-            RouteOutcome::Answered { result, reply } => {
-                shared.metrics.sharded.inc();
-                shared.counters.update(|c| c.sharded += 1);
-                // The routed result frame was built from the merged rows;
-                // the router verified `step_rows.last()` equals its count.
-                let rows = reply.step_rows.last().copied().unwrap_or(0);
-                return finish(result, &reply, rows);
-            }
-            RouteOutcome::Failed { frame } => return (vec![frame], None),
-            RouteOutcome::NotRouted => {
-                shared.metrics.shard_fallback.inc();
-                shared.counters.update(|c| c.shard_fallback += 1);
-                // The local run may overwrite a routed base table via
-                // `store(...)`; stop routing such tables first.
-                router.invalidate(&expr);
-            }
-        }
-    }
     let fence = Arc::new(AtomicBool::new(false));
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
     if tx
@@ -1261,22 +1133,34 @@ fn handle_query(
             )
         }
     };
-    match reply {
-        Ok(reply) => {
-            let csv = {
-                let store = locks::read(&shared.store);
-                store.render_csv(&reply.result)
-            };
-            match csv {
-                Ok(csv) => {
-                    let result = result_frame(reply.result.len(), &reply.stats, &csv);
-                    finish(result, &reply, reply.result.len() as u64)
-                }
-                Err(e) => (vec![engine_err_frame(&e)], None),
-            }
+    let reply = match reply {
+        Ok(reply) => reply,
+        Err(machine_err) => {
+            return (vec![err_frame("machine", &machine_err.to_string())], None);
         }
-        Err(machine_err) => (vec![err_frame("machine", &machine_err.to_string())], None),
+    };
+    let csv = match locks::read(&shared.store).render_csv(&reply.result) {
+        Ok(csv) => csv,
+        Err(e) => return (vec![engine_err_frame(&e)], None),
+    };
+    let built = profile::build(
+        query,
+        trace.map_or(0, |c| c.trace_id),
+        shared.cfg.machine.backend.label(),
+        analysis.as_ref(),
+        &alignment,
+        &plan,
+        &reply,
+        reply.result.len() as u64,
+        lock_wait_ns,
+        QuantileSummary::from_histogram(&shared.metrics.latency),
+    );
+    let mut frames = vec![result_frame(reply.result.len(), &reply.stats, &csv)];
+    if with_profile {
+        frames.push(profile_frame(&built.to_json()));
     }
+    frames.push(host_frame(reply.host_wall_ns));
+    (frames, Some(built))
 }
 
 #[cfg(test)]

@@ -684,82 +684,6 @@ fn duplicate_loads_conflict_and_errors_are_structured() {
     handle.join().unwrap();
 }
 
-/// The sharding acceptance check: a server partitioning relations across
-/// N machine shards answers the whole e2e workload — shardable fan-outs
-/// and transparent local fallbacks alike — with `RESULT` frames
-/// *byte-identical* to the single-`System` server's, and `QUERYC`'s
-/// per-step cardinalities (summed across shards on the router) match too.
-#[test]
-fn sharded_servers_answer_byte_identically_to_a_single_system() {
-    // store() runs only on the local system (the analyzer guarantees the
-    // target is a fresh name, so shard partitions cannot go stale); the
-    // follow-up re-query proves routing still works after the write-back.
-    const FOLLOW_UPS: &[&str] = &[
-        "store(filter(scan(a), c0 >= 3), b2)",
-        "union(scan(a), scan(b))",
-    ];
-
-    // Single-System oracle: every query, then the store scenario.
-    let baseline = spawn(local_config()).unwrap();
-    let mut c = Client::connect(baseline.addr).unwrap();
-    load_all(&mut c);
-    let expect: Vec<String> = QUERIES
-        .iter()
-        .chain(FOLLOW_UPS)
-        .map(|q| c.raw_query_frames(q).unwrap().0)
-        .collect();
-    let expect_cards: Vec<(String, Vec<u64>)> = QUERIES
-        .iter()
-        .map(|q| {
-            let (frame, cards, _host) = c.query_cards(q).unwrap();
-            (frame, cards)
-        })
-        .collect();
-    c.close().unwrap();
-    baseline.shutdown();
-    baseline.join().unwrap();
-
-    for shards in [2usize, 4] {
-        let handle = spawn(ServerConfig {
-            shards,
-            ..local_config()
-        })
-        .unwrap();
-        let mut c = Client::connect(handle.addr).unwrap();
-        load_all(&mut c);
-        for (i, q) in QUERIES.iter().chain(FOLLOW_UPS).enumerate() {
-            let (frame, _host) = c.raw_query_frames(q).unwrap();
-            assert_eq!(frame, expect[i], "{shards}-shard RESULT diverged on {q:?}");
-        }
-        for (q, (want_frame, want_cards)) in QUERIES.iter().zip(&expect_cards) {
-            let (frame, cards, _host) = c.query_cards(q).unwrap();
-            assert_eq!(
-                &frame, want_frame,
-                "{shards}-shard QUERYC diverged on {q:?}"
-            );
-            assert_eq!(&cards, want_cards, "{shards}-shard CARDS diverged on {q:?}");
-        }
-
-        // Both paths must actually have run: shardable set ops fanned out,
-        // while divide/Str-join/store queries fell back to the local copy.
-        let text = c.metrics().unwrap();
-        let exp = systolic_telemetry::prom::validate(&text).expect("exposition must validate");
-        assert!(
-            exp.value("sdb_server_sharded_total", "").unwrap_or(0.0) >= 1.0,
-            "{shards}-shard server never routed a query:\n{text}"
-        );
-        assert!(
-            exp.value("sdb_server_shard_fallback_total", "")
-                .unwrap_or(0.0)
-                >= 1.0,
-            "{shards}-shard server never fell back:\n{text}"
-        );
-        c.close().unwrap();
-        handle.shutdown();
-        handle.join().unwrap();
-    }
-}
-
 /// Connection scaling: the poll reactor holds 64/256/1024 simultaneous
 /// connections, *all* with requests in flight at once (every frame is
 /// written before any answer is read), and every `RESULT` frame is
@@ -899,8 +823,8 @@ fn poll_shutdown_drains_pipelined_in_flight_queries() {
 }
 
 /// The observability acceptance check, half one: `PROFILE` answers with a
-/// `RESULT` frame *byte-identical* to `QUERY`'s for the same query — at one
-/// and two shards, on both front ends, and on both backends — and the
+/// `RESULT` frame *byte-identical* to `QUERY`'s for the same query — on
+/// both front ends and on both backends — and the
 /// profile itself is internally consistent: the analyzer's predicted pulse
 /// budget bounds the actual pulses, and the actual pulses equal the
 /// `RESULT` frame's own `RunStats` pulses.
@@ -914,13 +838,6 @@ fn profile_results_are_byte_identical_and_bounded_by_the_budget() {
             "poll",
             ServerConfig {
                 io: IoModel::Poll,
-                ..local_config()
-            },
-        ),
-        (
-            "2-shard",
-            ServerConfig {
-                shards: 2,
                 ..local_config()
             },
         ),
@@ -994,44 +911,36 @@ fn profile_results_are_byte_identical_and_bounded_by_the_budget() {
     }
 }
 
-/// The observability acceptance check, half two: a two-shard server with
-/// `trace_out` writes ONE merged Chrome trace in which every shard's
-/// `server.request` span (returned over the wire in `SPANS` trailers)
-/// parents under the router's `server.shard_fanout` span, which itself
-/// parents under the outer request's root span — one trace id end to end.
+/// The observability acceptance check, half two: a server with
+/// `trace_out` writes ONE Chrome trace in which a query's root
+/// `server.request` span, the machine spans that ran it, and its simulated
+/// per-step schedule (pulse time, pid 1) all carry the same trace id.
 ///
 /// Holds [`collector_lock`]: `trace_out` installs the process-global
-/// collector for the server's lifetime. Sharded queries from tests running
+/// collector for the server's lifetime. Queries from tests running
 /// concurrently land in that trace too, so every check below follows this
 /// test's own request: the one root span carrying its query text (over
-/// tables only it loads), that root's trace id, and the fan-out under it.
+/// tables only it loads) and that root's trace id.
 #[test]
-fn sharded_trace_out_parents_shard_spans_under_the_fanout() {
+fn trace_out_puts_a_query_s_host_and_machine_spans_on_one_trace() {
+    use systolic_telemetry::chrome::{PID_HOST, PID_SIMULATED};
     use systolic_telemetry::json::{self, Json};
 
     let _guard = collector_lock();
     let dir = std::env::temp_dir().join(format!("sdb-e2e-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("merged.json");
+    let path = dir.join("trace.json");
 
     let handle = spawn(ServerConfig {
-        shards: 2,
         trace_out: Some(path.clone()),
         ..local_config()
     })
     .unwrap();
     let mut c = Client::connect(handle.addr).unwrap();
-    c.load_csv("fanout_l", "int", "1\n2\n3\n4\n").unwrap();
-    c.load_csv("fanout_r", "int", "2\n4\n6\n").unwrap();
-    // A shardable query, so the router actually fans out.
-    let shardable = "intersect(scan(fanout_l), scan(fanout_r))";
-    c.query(shardable).unwrap();
-    let text = c.metrics().unwrap();
-    let exp = systolic_telemetry::prom::validate(&text).unwrap();
-    assert!(
-        exp.value("sdb_server_sharded_total", "").unwrap_or(0.0) >= 1.0,
-        "query must have routed:\n{text}"
-    );
+    c.load_csv("traced_l", "int", "1\n2\n3\n4\n").unwrap();
+    c.load_csv("traced_r", "int", "2\n4\n6\n").unwrap();
+    let query = "intersect(scan(traced_l), scan(traced_r))";
+    c.query(query).unwrap();
     c.close().unwrap();
     handle.shutdown();
     handle.join().unwrap();
@@ -1040,55 +949,52 @@ fn sharded_trace_out_parents_shard_spans_under_the_fanout() {
     let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
     let args = |e: &Json, k: &str| e.get("args").and_then(|a| a.get(k)).cloned();
     let arg = |e: &Json, k: &str| args(e, k).as_ref().and_then(Json::as_u64);
-    let named = |n: &str| {
-        events
-            .iter()
-            .filter(|e| e.get("name").and_then(Json::as_str) == Some(n))
-            .collect::<Vec<_>>()
+    let name_starts = |e: &Json, prefix: &str| {
+        e.get("name")
+            .and_then(Json::as_str)
+            .is_some_and(|n| n.starts_with(prefix))
     };
+    let pid = |e: &Json| e.get("pid").and_then(Json::as_u64).map(|p| p as u32);
 
-    // The outer request is the root of its own trace...
-    let requests = named("server.request");
-    let roots: Vec<_> = requests
+    // The request is the root of its own trace...
+    let roots: Vec<_> = events
         .iter()
         .filter(|e| {
-            arg(e, "parent_id").is_none()
-                && args(e, "query").as_ref().and_then(Json::as_str) == Some(shardable)
+            e.get("name").and_then(Json::as_str) == Some("server.request")
+                && arg(e, "parent_id").is_none()
+                && args(e, "query").as_ref().and_then(Json::as_str) == Some(query)
         })
         .collect();
-    assert_eq!(roots.len(), 1, "one root request span for the routed query");
-    let root = roots[0];
-    let trace_id = arg(root, "trace_id").unwrap();
+    assert_eq!(roots.len(), 1, "one root request span for the query");
+    let trace_id = arg(roots[0], "trace_id").unwrap();
+    let on_trace = |e: &&Json| arg(e, "trace_id") == Some(trace_id);
 
-    // ...with exactly one fan-out on that trace, parented under the root...
-    let fanouts: Vec<_> = named("server.shard_fanout")
-        .into_iter()
-        .filter(|e| arg(e, "trace_id") == Some(trace_id))
-        .collect();
-    assert_eq!(
-        fanouts.len(),
-        1,
-        "one fan-out span for the one routed query"
-    );
-    let fanout = fanouts[0];
-    let fanout_span = arg(fanout, "span_id").unwrap();
-    assert_eq!(arg(fanout, "parent_id"), arg(root, "span_id"));
-
-    // ...and both shards' request spans parent under the fan-out, on the
-    // same trace id, each exactly once (the SPANS trailer duplicates the
-    // in-process collector's copy; the merge must dedup).
-    let shard_requests: Vec<_> = requests
+    // ...the machine spans that ran it sit on that trace, on the host
+    // process...
+    let machine: Vec<_> = events
         .iter()
-        .filter(|e| arg(e, "parent_id") == Some(fanout_span))
+        .filter(on_trace)
+        .filter(|e| name_starts(e, "machine."))
         .collect();
-    assert_eq!(
-        shard_requests.len(),
-        2,
-        "both shard request spans, deduped, under the fan-out"
+    assert!(
+        !machine.is_empty(),
+        "the machine's spans carry the request's trace id"
     );
-    for e in &shard_requests {
-        assert_eq!(arg(e, "trace_id"), Some(trace_id), "one trace end to end");
-    }
+    assert_eq!(pid(roots[0]), Some(PID_HOST));
+    assert!(machine.iter().all(|e| pid(e) == Some(PID_HOST)));
+
+    // ...and its simulated per-step schedule is on the pulse-time process.
+    let steps: Vec<_> = events
+        .iter()
+        .filter(on_trace)
+        .filter(|e| {
+            pid(e) == Some(PID_SIMULATED) && e.get("ph").and_then(Json::as_str) == Some("X")
+        })
+        .collect();
+    assert!(
+        steps.iter().any(|e| name_starts(e, "intersect")),
+        "the query's intersect step is on the pulse-time track: {steps:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1147,82 +1053,70 @@ fn flight_recorder_retains_newest_profiles_and_records_errors() {
 
 /// Durability across graceful restarts: a server opened on a `--data-dir`
 /// recovers every load and every logged `store(...)` query from its WAL,
-/// so the whole workload answers *byte-identically* after a restart — at
-/// one shard and at two (each shard recovering its own partition). A
+/// so the whole workload answers *byte-identically* after a restart. A
 /// `CHECKPOINT` mid-sequence snapshots the history and the next recovery
 /// (snapshot + empty tail) must answer identically again.
 #[test]
 fn durable_servers_answer_byte_identically_after_restart() {
     let root = std::env::temp_dir().join(format!("sdb_srv_durable_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
+    let config = || ServerConfig {
+        data_dir: Some(root.clone()),
+        ..local_config()
+    };
 
-    for shards in [1usize, 2] {
-        let data_dir = root.join(format!("s{shards}"));
-        let config = || ServerConfig {
-            shards,
-            data_dir: Some(data_dir.clone()),
-            ..local_config()
-        };
+    // Generation 0: load, run a store(...) so a query lands in the WAL,
+    // then capture the post-store answers as the oracle.
+    let handle = spawn(config()).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    load_all(&mut c);
+    c.query("store(filter(scan(a), c0 >= 3), a_big)").unwrap();
+    let expect: Vec<String> = QUERIES
+        .iter()
+        .map(|q| c.raw_query_frames(q).unwrap().0)
+        .collect();
+    let stats = c.stats_line().unwrap();
+    assert!(stats.contains("durable=1"), "{stats}");
+    assert!(
+        stats.contains(" wal_records=7"),
+        "6 loads + 1 store: {stats}"
+    );
+    c.close().unwrap();
+    handle.shutdown();
+    handle.join().unwrap();
 
-        // Generation 0: load, run a store(...) so a query lands in the WAL,
-        // then capture the post-store answers as the oracle.
-        let handle = spawn(config()).unwrap();
-        let mut c = Client::connect(handle.addr).unwrap();
-        load_all(&mut c);
-        c.query("store(filter(scan(a), c0 >= 3), a_big)").unwrap();
-        let expect: Vec<String> = QUERIES
-            .iter()
-            .map(|q| c.raw_query_frames(q).unwrap().0)
-            .collect();
-        let stats = c.stats_line().unwrap();
-        assert!(stats.contains("durable=1"), "{stats}");
-        assert!(
-            stats.contains(" wal_records=7"),
-            "6 loads + 1 store: {stats}"
-        );
-        c.close().unwrap();
-        handle.shutdown();
-        handle.join().unwrap();
-
-        // Generation 1: recovered purely from the WAL.
-        let handle = spawn(config()).unwrap();
-        let mut c = Client::connect(handle.addr).unwrap();
-        let stats = c.stats_line().unwrap();
-        assert!(stats.contains(" recovered=7"), "{stats}");
-        for (q, want) in QUERIES.iter().zip(&expect) {
-            let (frame, _host) = c.raw_query_frames(q).unwrap();
-            assert_eq!(
-                &frame, want,
-                "{shards}-shard WAL recovery diverged on {q:?}"
-            );
-        }
-        // Snapshot the history; the log resets but nothing is forgotten.
-        let (records, bytes) = c.checkpoint().unwrap();
-        assert_eq!(records, 7, "all history records snapshotted");
-        assert!(bytes > 0);
-        let stats = c.stats_line().unwrap();
-        assert!(stats.contains(" wal_records=0"), "log reset: {stats}");
-        assert!(stats.contains(" checkpoints=1"), "{stats}");
-        c.close().unwrap();
-        handle.shutdown();
-        handle.join().unwrap();
-
-        // Generation 2: recovered from the checkpoint snapshot alone.
-        let handle = spawn(config()).unwrap();
-        let mut c = Client::connect(handle.addr).unwrap();
-        let stats = c.stats_line().unwrap();
-        assert!(stats.contains(" recovered=7"), "{stats}");
-        for (q, want) in QUERIES.iter().zip(&expect) {
-            let (frame, _host) = c.raw_query_frames(q).unwrap();
-            assert_eq!(
-                &frame, want,
-                "{shards}-shard snapshot recovery diverged on {q:?}"
-            );
-        }
-        c.close().unwrap();
-        handle.shutdown();
-        handle.join().unwrap();
+    // Generation 1: recovered purely from the WAL.
+    let handle = spawn(config()).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    let stats = c.stats_line().unwrap();
+    assert!(stats.contains(" recovered=7"), "{stats}");
+    for (q, want) in QUERIES.iter().zip(&expect) {
+        let (frame, _host) = c.raw_query_frames(q).unwrap();
+        assert_eq!(&frame, want, "WAL recovery diverged on {q:?}");
     }
+    // Snapshot the history; the log resets but nothing is forgotten.
+    let (records, bytes) = c.checkpoint().unwrap();
+    assert_eq!(records, 7, "all history records snapshotted");
+    assert!(bytes > 0);
+    let stats = c.stats_line().unwrap();
+    assert!(stats.contains(" wal_records=0"), "log reset: {stats}");
+    assert!(stats.contains(" checkpoints=1"), "{stats}");
+    c.close().unwrap();
+    handle.shutdown();
+    handle.join().unwrap();
+
+    // Generation 2: recovered from the checkpoint snapshot alone.
+    let handle = spawn(config()).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    let stats = c.stats_line().unwrap();
+    assert!(stats.contains(" recovered=7"), "{stats}");
+    for (q, want) in QUERIES.iter().zip(&expect) {
+        let (frame, _host) = c.raw_query_frames(q).unwrap();
+        assert_eq!(&frame, want, "snapshot recovery diverged on {q:?}");
+    }
+    c.close().unwrap();
+    handle.shutdown();
+    handle.join().unwrap();
 
     // A server without a data dir refuses CHECKPOINT with a stable kind.
     let handle = spawn(local_config()).unwrap();
@@ -1238,4 +1132,85 @@ fn durable_servers_answer_byte_identically_after_restart() {
     handle.join().unwrap();
 
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Servers that partitioned relations across shards kept each shard's WAL
+/// under `shard-<i>/` beside the top-level log, which always held the full
+/// history. Such a directory still restarts byte-identically: recovery
+/// reads only the top-level files and leaves the subdirectory untouched.
+#[test]
+fn data_dirs_with_leftover_shard_subdirectories_restart_byte_identically() {
+    let root = std::env::temp_dir().join(format!("sdb_srv_shard_dir_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let shard_dir = root.join("shard-0");
+    let config = |dir: &std::path::Path| ServerConfig {
+        data_dir: Some(dir.to_path_buf()),
+        ..local_config()
+    };
+
+    let handle = spawn(config(&root)).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    load_all(&mut c);
+    c.query("store(filter(scan(a), c0 >= 3), a_big)").unwrap();
+    let expect: Vec<String> = QUERIES
+        .iter()
+        .map(|q| c.raw_query_frames(q).unwrap().0)
+        .collect();
+    c.close().unwrap();
+    handle.shutdown();
+    handle.join().unwrap();
+
+    // A shard's WAL, as a partitioning server left it: a slice of the same
+    // tables' rows, logged under the same names.
+    let handle = spawn(config(&shard_dir)).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    c.load_csv("a", "int", "2\n2\n4\n").unwrap();
+    c.load_csv("emp", "str,int", "grace,20\n").unwrap();
+    c.close().unwrap();
+    handle.shutdown();
+    handle.join().unwrap();
+    let shard_wal = std::fs::read(shard_dir.join("wal.log")).unwrap();
+    assert!(
+        !shard_wal.is_empty(),
+        "the leftover shard WAL holds records"
+    );
+
+    let handle = spawn(config(&root)).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    let stats = c.stats_line().unwrap();
+    assert!(
+        stats.contains(" recovered=7"),
+        "top-level history only: {stats}"
+    );
+    for (q, want) in QUERIES.iter().zip(&expect) {
+        let (frame, _host) = c.raw_query_frames(q).unwrap();
+        assert_eq!(
+            &frame, want,
+            "leftover shard-0/ changed the answer to {q:?}"
+        );
+    }
+    c.close().unwrap();
+    handle.shutdown();
+    handle.join().unwrap();
+    assert_eq!(
+        std::fs::read(shard_dir.join("wal.log")).unwrap(),
+        shard_wal,
+        "recovery must leave shard-0/ untouched"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `ServerConfig::shards` accepts only 1: every server runs exactly one
+/// `System`, and any other value is refused up front.
+#[test]
+fn spawn_refuses_any_shard_count_but_one() {
+    for shards in [0usize, 2] {
+        match spawn(ServerConfig {
+            shards,
+            ..local_config()
+        }) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+            Ok(_) => panic!("spawn accepted shards: {shards}"),
+        }
+    }
 }

@@ -58,7 +58,9 @@ pub struct CheckpointReport {
     pub bytes: u64,
 }
 
-/// The engine: one per data directory (one per shard).
+/// The engine: one per data directory. It touches only `checkpoint.pg`,
+/// `wal.log`, `relations.pg` and (mid-checkpoint) `checkpoint.tmp` directly
+/// under that directory; anything else there is ignored.
 #[derive(Debug)]
 pub struct StorageEngine {
     dir: PathBuf,

@@ -1,21 +1,15 @@
-//! Wire-portable span batches.
-//!
-//! A shard server cannot hand its in-memory [`SpanRecord`]s to the router
-//! directly — they cross a socket. This module renders a set of spans as a
-//! compact JSON-lines batch (one object per span, newline-separated) and
-//! parses a batch back into owned [`SpanData`] values, so the router can
-//! merge every shard's spans into one Chrome trace under its own root span.
+//! Owned span batches.
 //!
 //! [`SpanData`] is the owned twin of [`SpanRecord`]: span names in the
-//! collector are `&'static str` (interned at the call site), which a parser
-//! cannot reconstruct, so the wire form owns its strings.
+//! collector are `&'static str` (interned at the call site), while a
+//! drained batch that outlives its collector — the server's shutdown trace —
+//! owns its strings.
 
-use crate::json::{self, Json};
 use crate::span::SpanRecord;
 
-/// An owned span, as parsed from (or rendered into) a wire batch. Field for
-/// field the same shape as [`SpanRecord`]; all times are host wall-clock
-/// nanoseconds relative to the emitting collector's epoch.
+/// An owned span. Field for field the same shape as [`SpanRecord`]; all
+/// times are host wall-clock nanoseconds relative to the emitting
+/// collector's epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanData {
     /// Operation name (e.g. `"server.request"`).
@@ -65,139 +59,9 @@ impl From<&SpanRecord> for SpanData {
     }
 }
 
-/// Render spans as a JSON-lines batch: one object per line, lines joined
-/// with `\n` (no trailing newline, so an empty batch is the empty string).
-pub fn render_batch(spans: &[SpanData]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        out.push_str("{\"name\":");
-        json::write_str(&mut out, &s.name);
-        let _ = write!(
-            out,
-            ",\"trace\":{},\"span\":{},\"parent\":",
-            s.trace_id, s.span_id
-        );
-        match s.parent_id {
-            Some(p) => {
-                let _ = write!(out, "{p}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(out, ",\"start_ns\":{},\"end_ns\":{}", s.start_ns, s.end_ns);
-        out.push_str(",\"thread\":");
-        json::write_str(&mut out, &s.thread);
-        out.push_str(",\"args\":{");
-        for (j, (k, v)) in s.args.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            json::write_str(&mut out, k);
-            out.push(':');
-            json::write_str(&mut out, v);
-        }
-        out.push_str("}}");
-    }
-    out
-}
-
-/// Parse a JSON-lines batch back into owned spans. The inverse of
-/// [`render_batch`]; rejects any malformed line with a description that
-/// names the failing line number.
-pub fn parse_batch(text: &str) -> Result<Vec<SpanData>, String> {
-    let mut spans = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let doc = json::parse(line).map_err(|e| format!("span batch line {}: {e}", i + 1))?;
-        spans.push(parse_span(&doc).map_err(|e| format!("span batch line {}: {e}", i + 1))?);
-    }
-    Ok(spans)
-}
-
-fn parse_span(doc: &Json) -> Result<SpanData, String> {
-    let str_field = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("missing string field {key:?}"))
-    };
-    let u64_field = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing u64 field {key:?}"))
-    };
-    let parent_id = match doc.get("parent") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(v.as_u64().ok_or("bad parent id")?),
-    };
-    let args = match doc.get("args") {
-        None => Vec::new(),
-        Some(v) => v
-            .as_object()
-            .ok_or("args must be an object")?
-            .iter()
-            .map(|(k, v)| {
-                v.as_str()
-                    .map(|s| (k.clone(), s.to_string()))
-                    .ok_or_else(|| format!("arg {k:?} must be a string"))
-            })
-            .collect::<Result<_, String>>()?,
-    };
-    Ok(SpanData {
-        name: str_field("name")?,
-        trace_id: u64_field("trace")?,
-        span_id: u64_field("span")?,
-        parent_id,
-        start_ns: u64_field("start_ns")?,
-        end_ns: u64_field("end_ns")?,
-        thread: str_field("thread")?,
-        args,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Vec<SpanData> {
-        vec![
-            SpanData {
-                name: "server.request".to_string(),
-                trace_id: 7,
-                span_id: 1,
-                parent_id: None,
-                start_ns: 100,
-                end_ns: 900,
-                thread: "worker-0".to_string(),
-                args: vec![("query".to_string(), "scan(\"emp\")\nx".to_string())],
-            },
-            SpanData {
-                name: "server.shard_fanout".to_string(),
-                trace_id: 7,
-                span_id: 2,
-                parent_id: Some(1),
-                start_ns: 200,
-                end_ns: 800,
-                thread: "worker-0".to_string(),
-                args: Vec::new(),
-            },
-        ]
-    }
-
-    #[test]
-    fn batches_round_trip() {
-        let spans = sample();
-        let text = render_batch(&spans);
-        assert_eq!(text.lines().count(), 2, "one line per span");
-        assert_eq!(parse_batch(&text).unwrap(), spans);
-        assert_eq!(parse_batch("").unwrap(), Vec::new());
-        assert_eq!(render_batch(&[]), "");
-    }
 
     #[test]
     fn span_records_convert() {
@@ -218,16 +82,5 @@ mod tests {
         let outer = spans.iter().find(|s| s.name == "outer").unwrap();
         assert_eq!(inner.parent_id, Some(outer.span_id));
         assert_eq!(inner.arg("k"), Some("v"));
-        let parsed = parse_batch(&render_batch(&spans)).unwrap();
-        assert_eq!(parsed, spans);
-    }
-
-    #[test]
-    fn malformed_batches_name_the_line() {
-        let err = parse_batch("{\"name\":\"a\"}").unwrap_err();
-        assert!(err.contains("line 1"), "{err}");
-        let good = render_batch(&sample()[..1]);
-        let err = parse_batch(&format!("{good}\nnot json")).unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
     }
 }

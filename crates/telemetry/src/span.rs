@@ -104,19 +104,6 @@ impl Collector {
         self.spans.lock().unwrap().clone()
     }
 
-    /// Copies of the completed spans belonging to one trace, leaving the
-    /// collector untouched — what a shard mines to answer a stamped
-    /// `QUERYC` with its span batch without disturbing other traces.
-    pub fn trace_spans(&self, trace_id: u64) -> Vec<SpanRecord> {
-        self.spans
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|s| s.trace_id == trace_id)
-            .cloned()
-            .collect()
-    }
-
     /// Number of recorded spans.
     pub fn len(&self) -> usize {
         self.spans.lock().unwrap().len()

@@ -190,22 +190,17 @@ pub struct ServeArgs {
     pub workers: usize,
     /// Connection front end: thread-per-connection or the poll(2) reactor.
     pub io: IoModel,
-    /// Machine shards relations are hash-partitioned across (`1` = the
-    /// classic single-`System` server).
-    pub shards: usize,
     /// Admission window in milliseconds.
     pub batch_window_ms: u64,
     /// Slow-query log threshold in milliseconds; 0 disables the log.
     pub slow_query_ms: u64,
-    /// Durable data directory (`None` = in-memory only). With `--shards N`
-    /// each shard persists under `DIR/shard-i`.
+    /// Durable data directory (`None` = in-memory only).
     pub data_dir: Option<String>,
     /// Buffer-pool capacity of the paged store, in 8 KiB pages.
     pub pool_pages: usize,
     /// Buffer-pool (and staging-memory) replacement policy.
     pub replacer: ReplacerKind,
-    /// Write one merged Chrome/Perfetto trace covering every query (and,
-    /// with `--shards N`, every shard) on shutdown.
+    /// Write one Chrome/Perfetto trace covering every query on shutdown.
     pub trace_out: Option<String>,
     /// Flight-recorder depth: how many recent query profiles `PROFILES`
     /// retains (0 disables the recorder).
@@ -223,7 +218,6 @@ impl Default for ServeArgs {
             backend: None,
             workers: defaults.workers,
             io: defaults.io,
-            shards: defaults.shards,
             batch_window_ms: defaults.batch_window.as_millis() as u64,
             slow_query_ms: defaults
                 .slow_query
@@ -326,7 +320,7 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
 [--memory BYTES] QUERY
        sdb profile --table NAME=PATH:type,... [--stats] [--backend sim|columnar] QUERY
        sdb serve [--addr HOST:PORT] [--backend sim|columnar] [--workers N] \
-[--io threads|poll] [--shards N] [--batch-window MS] [--slow-query-ms MS] \
+[--io threads|poll] [--batch-window MS] [--slow-query-ms MS] \
 [--data-dir DIR] [--pool-pages N] [--replacer clock|lru] [--trace-out FILE] \
 [--profile-history N] [--optimize on|off]
        sdb --connect HOST:PORT [--table NAME=PATH:type,...] [--stats] [--profile] \
@@ -360,19 +354,13 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
   --io M: serve connections thread-per-connection (threads, the default) or
                through a single poll(2) reactor that multiplexes every
                session and supports pipelined requests (poll)
-  --shards N: hash-partition loaded relations across N independent machine
-               shards; shardable queries fan out and merge, every other
-               query transparently falls back to a full local copy — the
-               RESULT frames are byte-identical either way
   --slow-query-ms MS: log queries slower than MS to stderr (0 disables)
   --data-dir DIR: persist loads and store(...) queries to a write-ahead log
-               under DIR and recover them (byte-identically) on restart;
-               with --shards N each shard persists under DIR/shard-i
+               under DIR and recover them (byte-identically) on restart
   --pool-pages N: buffer-pool capacity of the paged store, in 8 KiB pages
   --replacer P: buffer-pool replacement policy, clock (default) or lru
-  --trace-out FILE: (serve) write one merged Chrome/Perfetto trace covering
-               every query — and with --shards N, every shard's spans,
-               parented under the router's fan-out — on shutdown
+  --trace-out FILE: (serve) write one Chrome/Perfetto trace covering every
+               query on shutdown
   --profile-history N: (serve) flight-recorder depth: how many recent query
                profiles PROFILES retains (0 disables)
   --optimize on|off: (serve) route admitted queries through the cost-based
@@ -477,10 +465,6 @@ fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, CliError> {
                 args.io = IoModel::parse(value).ok_or_else(|| {
                     CliError::Usage(format!("--io expects threads or poll, got {value:?}"))
                 })?;
-            }
-            "--shards" => {
-                let value = flag_value("--shards", &mut it)?;
-                args.shards = parse_number("--shards", value)?.max(1);
             }
             "--batch-window" => {
                 let value = flag_value("--batch-window", &mut it)?;
@@ -888,7 +872,6 @@ fn run_serve(args: &ServeArgs) -> Result<(), CliError> {
         addr: args.addr.clone(),
         workers: args.workers,
         io: args.io,
-        shards: args.shards,
         machine,
         batch_window: Duration::from_millis(args.batch_window_ms),
         slow_query: match args.slow_query_ms {
@@ -1136,8 +1119,6 @@ mod tests {
             "5",
             "--io",
             "poll",
-            "--shards",
-            "4",
         ]))
         .unwrap()
         {
@@ -1146,14 +1127,12 @@ mod tests {
                 assert_eq!(s.workers, 8);
                 assert_eq!(s.batch_window_ms, 5);
                 assert_eq!(s.io, IoModel::Poll);
-                assert_eq!(s.shards, 4);
             }
             other => panic!("expected serve, got {other:?}"),
         }
         match parse_command(&argv(&["serve"])).unwrap() {
             Command::Serve(s) => {
                 assert_eq!(s.io, IoModel::Threads, "threads is the default front end");
-                assert_eq!(s.shards, 1, "single-System by default");
                 assert_eq!(s.data_dir, None, "in-memory by default");
                 assert_eq!(s.replacer, ReplacerKind::Clock);
             }
@@ -1192,10 +1171,12 @@ mod tests {
             parse_command(&argv(&["serve", "--io", "epoll"])),
             Err(CliError::Usage(_))
         ));
-        assert!(matches!(
-            parse_command(&argv(&["serve", "--shards", "many"])),
-            Err(CliError::Usage(_))
-        ));
+        match parse_command(&argv(&["serve", "--shards", "2"])) {
+            Err(CliError::Usage(msg)) => {
+                assert!(msg.starts_with("unexpected serve argument"), "{msg}")
+            }
+            other => panic!("--shards must be an unknown flag, got {other:?}"),
+        }
         match parse_command(&argv(&[
             "--connect",
             "127.0.0.1:4171",
