@@ -1243,12 +1243,12 @@ fn e22_columnar() -> (Summary, Vec<(String, Extra)>) {
 }
 
 /// `repro serve-throughput`: queries/sec against a live in-process
-/// systolic-server — the classic thread-per-connection front end at 1, 4
-/// and 16 concurrent connections, then the poll(2) reactor at 64, 256 and
-/// 1024 pipelined connections.
+/// systolic-server's poll(2) reactor — first with the default config at 1,
+/// 4 and 16 closed-loop connections, then with the columnar backend at 64,
+/// 256 and 1024 pipelined connections.
 fn serve_throughput() -> (Summary, Vec<(String, Extra)>) {
     use systolic_machine::Backend;
-    use systolic_server::{spawn, Client, IoModel, ServerConfig};
+    use systolic_server::{spawn, Client, ServerConfig};
 
     let mut sum = Summary::default();
     let mut extras: Vec<(String, Extra)> = Vec::new();
@@ -1280,6 +1280,7 @@ fn serve_throughput() -> (Summary, Vec<(String, Extra)>) {
     ];
     const PER_CLIENT: usize = 8;
 
+    println!("poll(2) reactor (default config, closed-loop connections):");
     let mut t = Table::new(&["connections", "queries", "wall time", "queries/sec"]);
     for clients in [1usize, 4, 16] {
         let started = Instant::now();
@@ -1320,7 +1321,7 @@ fn serve_throughput() -> (Summary, Vec<(String, Extra)>) {
         report.batches, report.max_batch
     );
 
-    // Second act: the event-driven front end. One poll(2) reactor thread
+    // Second act: many pipelined connections. The reactor thread
     // multiplexes every connection onto an 8-thread worker pool, and the
     // closed-form columnar backend (bit-identical RESULT frames — the
     // e2e suite proves it) lifts the per-query simulation cost off the
@@ -1330,7 +1331,6 @@ fn serve_throughput() -> (Summary, Vec<(String, Extra)>) {
     println!("poll(2) reactor (columnar backend, pipelined connections, 8 workers):");
     let handle = spawn(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        io: IoModel::Poll,
         workers: 8,
         max_pending: 4096,
         max_batch: 64,

@@ -241,8 +241,7 @@ impl Client {
 
     /// Send every query back-to-back without waiting for answers, then
     /// read the (`RESULT`, `HOST`) frame pairs in request order — the
-    /// pipelined mode the poll front end multiplexes (the threads front
-    /// end also serves pipelined frames, one at a time off its buffer).
+    /// pipelined mode the server's reactor multiplexes.
     pub fn pipeline_queries(
         &mut self,
         queries: &[&str],

@@ -5,8 +5,6 @@
 //! maps `\` → `\\`, LF → `\n` and CR → `\r`, so a frame is always exactly
 //! one line and framing can never desynchronise on data.
 
-use std::io::{self, BufRead};
-
 /// Escape a payload so it fits on one line.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -41,81 +39,9 @@ pub fn unescape(s: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Outcome of one [`read_frame`] poll.
-#[derive(Debug)]
-pub enum FrameRead {
-    /// A complete line arrived (without its terminator).
-    Frame(String),
-    /// The read timed out before a full line arrived; any partial bytes are
-    /// retained in the caller's buffer — poll again.
-    TimedOut,
-    /// The peer closed the connection.
-    Closed,
-    /// The line exceeded the size limit; framing is lost, close the
-    /// connection after reporting.
-    TooLong,
-}
-
-/// Read one `\n`-terminated frame, tolerating read timeouts (so callers can
-/// poll a shutdown flag between attempts) and capping the frame length at
-/// `max` bytes. `partial` accumulates bytes across `TimedOut` returns and
-/// must be reused verbatim on the next call for the same connection.
-pub fn read_frame<R: BufRead>(
-    reader: &mut R,
-    partial: &mut Vec<u8>,
-    max: usize,
-) -> io::Result<FrameRead> {
-    loop {
-        if partial.len() > max {
-            return Ok(FrameRead::TooLong);
-        }
-        let (line_done, used) = {
-            let available = match reader.fill_buf() {
-                Ok(buf) => buf,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(FrameRead::TimedOut)
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            if available.is_empty() {
-                return Ok(FrameRead::Closed);
-            }
-            match available.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    partial.extend_from_slice(&available[..pos]);
-                    (true, pos + 1)
-                }
-                None => {
-                    partial.extend_from_slice(available);
-                    (false, available.len())
-                }
-            }
-        };
-        reader.consume(used);
-        if line_done {
-            if partial.len() > max {
-                return Ok(FrameRead::TooLong);
-            }
-            let bytes = std::mem::take(partial);
-            let mut line = String::from_utf8(bytes).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, "frame is not valid UTF-8")
-            })?;
-            if line.ends_with('\r') {
-                line.pop();
-            }
-            return Ok(FrameRead::Frame(line));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
     #[test]
     fn escape_round_trips() {
@@ -131,34 +57,5 @@ mod tests {
     fn bad_escapes_are_rejected() {
         assert!(unescape("dangling\\").is_err());
         assert!(unescape("bad\\q").is_err());
-    }
-
-    #[test]
-    fn frames_split_on_newlines() {
-        let mut r = BufReader::new(&b"first\nsecond\r\nthird"[..]);
-        let mut partial = Vec::new();
-        assert!(matches!(
-            read_frame(&mut r, &mut partial, 1024).unwrap(),
-            FrameRead::Frame(ref f) if f == "first"
-        ));
-        assert!(matches!(
-            read_frame(&mut r, &mut partial, 1024).unwrap(),
-            FrameRead::Frame(ref f) if f == "second"
-        ));
-        // Trailing bytes without a newline: connection closed mid-frame.
-        assert!(matches!(
-            read_frame(&mut r, &mut partial, 1024).unwrap(),
-            FrameRead::Closed
-        ));
-    }
-
-    #[test]
-    fn oversized_frames_are_flagged() {
-        let mut r = BufReader::new(&b"0123456789\n"[..]);
-        let mut partial = Vec::new();
-        assert!(matches!(
-            read_frame(&mut r, &mut partial, 4).unwrap(),
-            FrameRead::TooLong
-        ));
     }
 }

@@ -7,9 +7,10 @@
 //! transactions part: many TCP sessions multiplexed onto one shared
 //! [`systolic_machine::System`] and one shared catalog.
 //!
-//! Architecture, in one paragraph: a bounded pool of worker threads serves
-//! newline-delimited request frames (`LOAD`/`QUERY`/`STATS`/`CLOSE`) over
-//! `std::net` sockets. Parsing and CSV rendering happen on the worker, with
+//! Architecture, in one paragraph: one poll(2) reactor thread multiplexes
+//! every `std::net` connection and hands complete newline-delimited request
+//! frames (`LOAD`/`QUERY`/`STATS`/`CLOSE`) to a bounded pool of worker
+//! threads. Parsing and CSV rendering happen on the worker, with
 //! the catalog behind an `RwLock`; actual machine runs are submitted to a
 //! single *admission scheduler* thread that owns the `System`, gathers
 //! requests arriving within a short window, and runs them as one merged

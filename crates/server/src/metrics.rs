@@ -18,9 +18,9 @@ pub(crate) struct ServerMetrics {
     pub(crate) latency: Arc<Histogram>,
     /// Queries admitted per merged batch.
     pub(crate) batch_size: Arc<Histogram>,
-    /// Connections waiting for a worker right now.
+    /// Request frames in flight (queued or being served) right now.
     pub(crate) queue_depth: Arc<Gauge>,
-    /// High-water mark of the connection queue.
+    /// High-water mark of `queue_depth`.
     pub(crate) queue_depth_hwm: Arc<Gauge>,
     /// Queries answered (including failed ones).
     pub(crate) queries: Arc<Counter>,
@@ -28,10 +28,13 @@ pub(crate) struct ServerMetrics {
     pub(crate) loads: Arc<Counter>,
     /// Merged batch schedules admitted.
     pub(crate) batches: Arc<Counter>,
-    /// Connections refused with `ERR overloaded`.
+    /// Request frames shed with `ERR overloaded`.
     pub(crate) refused: Arc<Counter>,
     /// Requests that hit the per-request timeout.
     pub(crate) timeouts: Arc<Counter>,
+    /// Poll rounds the listener sat out because `accept` ran out of
+    /// descriptors or buffer memory.
+    pub(crate) accept_backoffs: Arc<Counter>,
     /// Queries slower than the configured slow-query threshold.
     pub(crate) slow_queries: Arc<Counter>,
     /// Queries whose optimized plan was served from the plan cache.
@@ -62,11 +65,11 @@ impl ServerMetrics {
         );
         let queue_depth = registry.gauge(
             "sdb_queue_depth",
-            "Accepted connections currently waiting for a worker.",
+            "Request frames currently in flight (queued or being served).",
         );
         let queue_depth_hwm = registry.gauge(
             "sdb_queue_depth_hwm",
-            "High-water mark of the connection wait queue.",
+            "High-water mark of request frames in flight.",
         );
         let queries = registry.counter("sdb_server_queries_total", "Queries answered.");
         let loads = registry.counter("sdb_server_loads_total", "Tables loaded.");
@@ -76,11 +79,15 @@ impl ServerMetrics {
         );
         let refused = registry.counter(
             "sdb_server_refused_total",
-            "Connections refused with ERR overloaded.",
+            "Request frames shed with ERR overloaded.",
         );
         let timeouts = registry.counter(
             "sdb_server_timeouts_total",
             "Requests that hit the per-request timeout.",
+        );
+        let accept_backoffs = registry.counter(
+            "sdb_server_accept_backoffs_total",
+            "Poll rounds the listener sat out because accept ran out of descriptors or buffers.",
         );
         let slow_queries = registry.counter(
             "sdb_server_slow_queries_total",
@@ -113,6 +120,7 @@ impl ServerMetrics {
             batches,
             refused,
             timeouts,
+            accept_backoffs,
             slow_queries,
             plan_cache_hits,
             plan_cache_misses,

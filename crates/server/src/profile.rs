@@ -18,10 +18,10 @@ use std::sync::Mutex;
 
 use systolic_analyzer::Analysis;
 use systolic_machine::{Action, Plan};
-use systolic_telemetry::batch::SpanData;
 use systolic_telemetry::chrome::{ArgValue, ChromeTrace, PID_HOST, PID_SIMULATED};
 use systolic_telemetry::json;
 use systolic_telemetry::metrics::QuantileSummary;
+use systolic_telemetry::SpanRecord;
 
 use crate::locks;
 use crate::scheduler::QueryReply;
@@ -348,7 +348,7 @@ impl FlightRecorder {
 /// Build the server's shutdown Chrome trace on the two-clock pid
 /// convention: pid 1 carries the retained profiles' per-step simulated
 /// schedule, pid 2 carries every host span the server collected.
-pub(crate) fn server_trace(spans: &[SpanData], profiles: &[QueryProfile]) -> ChromeTrace {
+pub(crate) fn server_trace(spans: &[SpanRecord], profiles: &[QueryProfile]) -> ChromeTrace {
     let mut trace = ChromeTrace::new();
     trace.set_process_name(PID_SIMULATED, "simulated machine (pulse time)");
     trace.set_process_name(PID_HOST, "server host (wall time)");
@@ -380,33 +380,7 @@ pub(crate) fn server_trace(spans: &[SpanData], profiles: &[QueryProfile]) -> Chr
             );
         }
     }
-    let mut threads: Vec<&str> = spans.iter().map(|s| s.thread.as_str()).collect();
-    threads.sort_unstable();
-    threads.dedup();
-    for (tid, thread) in threads.iter().enumerate() {
-        trace.set_thread_name(PID_HOST, tid as u32 + 1, thread);
-    }
-    for span in spans {
-        let tid = threads.iter().position(|t| *t == span.thread).unwrap_or(0) as u32 + 1;
-        let mut args = vec![
-            ("trace_id".to_string(), ArgValue::U64(span.trace_id)),
-            ("span_id".to_string(), ArgValue::U64(span.span_id)),
-        ];
-        if let Some(parent) = span.parent_id {
-            args.push(("parent_id".to_string(), ArgValue::U64(parent)));
-        }
-        for (k, v) in &span.args {
-            args.push((k.clone(), ArgValue::Str(v.clone())));
-        }
-        trace.complete(
-            PID_HOST,
-            tid,
-            &span.name,
-            span.start_ns,
-            span.end_ns.saturating_sub(span.start_ns),
-            args,
-        );
-    }
+    trace.host_spans(spans);
     trace
 }
 
@@ -514,15 +488,15 @@ mod tests {
 
     #[test]
     fn server_traces_put_host_spans_and_device_steps_on_their_pids() {
-        let span = SpanData {
-            name: "server.request".to_string(),
+        let span = SpanRecord {
+            name: "server.request",
             trace_id: 9,
             span_id: 1,
             parent_id: None,
             start_ns: 0,
             end_ns: 100,
             thread: "worker-0".to_string(),
-            args: vec![("query".to_string(), "scan(emp)".to_string())],
+            args: vec![("query", "scan(emp)".to_string())],
         };
         let trace = server_trace(&[span], &[sample_profile()]);
         let doc = json::parse(&trace.to_json()).unwrap();

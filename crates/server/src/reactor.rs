@@ -18,10 +18,14 @@
 //! requests are queued than `workers + max_pending`, new frames are answered
 //! `ERR overloaded` locally (still in pipeline order) instead of waiting.
 //!
-//! Shutdown drains like the threads model: in-flight requests are answered,
-//! idle connections get `BYE`, new work is refused `ERR shutting_down` by
-//! the shared dispatcher, and a grace period bounds how long a slow reader
-//! can hold the server open.
+//! Running out of descriptors never stops the server: when `accept` fails
+//! with EMFILE/ENFILE/ENOBUFS/ENOMEM the reactor leaves the listener out of
+//! the next poll round (so pending connections wait in the kernel backlog
+//! instead of spinning the loop) and keeps serving the connections it has.
+//!
+//! Shutdown drains: in-flight requests are answered, idle connections get
+//! `BYE`, new work is refused `ERR shutting_down` by the dispatcher, and a
+//! grace period bounds how long a slow reader can hold the server open.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
@@ -94,6 +98,19 @@ mod sys {
             return Err(err);
         }
         Ok(rc as usize)
+    }
+
+    /// `ENOBUFS`, whose number differs between Linux and the BSDs.
+    #[cfg(target_os = "linux")]
+    const ENOBUFS: i32 = 105;
+    #[cfg(not(target_os = "linux"))]
+    const ENOBUFS: i32 = 55;
+
+    /// Whether an `accept` error means the process or the system is out of
+    /// descriptors or buffer memory (ENOMEM, ENFILE, EMFILE, ENOBUFS) rather
+    /// than that one incoming connection failed.
+    pub(super) fn out_of_resources(err: &io::Error) -> bool {
+        matches!(err.raw_os_error(), Some(12 | 23 | 24) | Some(ENOBUFS))
     }
 }
 
@@ -190,7 +207,8 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// Run the poll front end on the calling thread, spawning its worker pool
 /// into `scope`. Returns when the server has drained after a stop signal,
-/// or with the fatal listener error.
+/// or with the error of a failed setup step or poll(2) call. Accept errors
+/// are never fatal (see [`Reactor::accept_ready`]).
 pub(crate) fn serve<'scope>(
     scope: &'scope thread::Scope<'scope, '_>,
     listener: &TcpListener,
@@ -203,19 +221,20 @@ pub(crate) fn serve<'scope>(
     let (wake_tx, wake_rx) = UnixStream::pair()?;
     wake_rx.set_nonblocking(true)?;
     wake_tx.set_nonblocking(true)?;
+    // One shared wake end for the whole pool, not a descriptor per worker.
+    let wake_tx = Arc::new(wake_tx);
 
     for _ in 0..shared.cfg.workers.max(1) {
         let work_rx = Arc::clone(&work_rx);
         let completions = Arc::clone(&completions);
         let shared = Arc::clone(shared);
         let jobs = jobs.clone();
-        let wake = wake_tx.try_clone()?;
-        scope.spawn(move || pool_worker(&work_rx, &completions, &shared, &jobs, wake));
+        let wake = Arc::clone(&wake_tx);
+        scope.spawn(move || pool_worker(&work_rx, &completions, &shared, &jobs, &wake));
     }
     // Workers hold the only remaining job senders: when `work_tx` drops at
     // the end of the reactor loop they exit, their job senders drop, and
-    // the scheduler's channel hangs up — the same deadlock-free teardown
-    // order as the threads model.
+    // the scheduler's channel hangs up, so the scope join cannot deadlock.
     drop(jobs);
 
     let mut reactor = Reactor {
@@ -239,7 +258,7 @@ fn pool_worker(
     completions: &Mutex<Vec<Completion>>,
     shared: &Shared,
     jobs: &Sender<Job>,
-    mut wake: UnixStream,
+    wake: &UnixStream,
 ) {
     loop {
         // Holding the lock while blocked in `recv` is the standard shared-
@@ -252,7 +271,7 @@ fn pool_worker(
         let reply = handle_request(shared, jobs, &item.line);
         push_completion(
             completions,
-            &mut wake,
+            wake,
             Completion {
                 token: item.token,
                 generation: item.generation,
@@ -273,7 +292,7 @@ fn render(reply: &Reply) -> Vec<u8> {
     bytes
 }
 
-fn push_completion(completions: &Mutex<Vec<Completion>>, wake: &mut UnixStream, c: Completion) {
+fn push_completion(completions: &Mutex<Vec<Completion>>, mut wake: &UnixStream, c: Completion) {
     locks::lock(completions).push(c);
     // A failed or would-block write is fine: the pipe already holds an
     // unread wake byte, so the reactor is waking regardless.
@@ -296,6 +315,9 @@ impl Reactor<'_> {
         let mut fds: Vec<sys::PollFd> = Vec::new();
         let mut tokens: Vec<usize> = Vec::new();
         let mut drain_started: Option<Instant> = None;
+        // Set when the last accept pass ran out of descriptors: the next
+        // round leaves the listener out of the poll set.
+        let mut accept_backoff = false;
         loop {
             let stopping = self.shared.stopping();
             if stopping {
@@ -320,7 +342,7 @@ impl Reactor<'_> {
                 events: sys::POLLIN,
                 revents: 0,
             });
-            let listener_slot = if stopping {
+            let listener_slot = if stopping || std::mem::take(&mut accept_backoff) {
                 None
             } else {
                 fds.push(sys::PollFd {
@@ -356,7 +378,7 @@ impl Reactor<'_> {
             }
             if let Some(slot) = listener_slot {
                 if fds[slot].revents != 0 {
-                    self.accept_ready(listener)?;
+                    accept_backoff = self.accept_ready(listener);
                 }
             }
             for (i, token) in tokens.iter().enumerate() {
@@ -398,7 +420,10 @@ impl Reactor<'_> {
         }
     }
 
-    fn accept_ready(&mut self, listener: &TcpListener) -> io::Result<()> {
+    /// Accept every pending connection. Returns `true` when the pass stopped
+    /// because descriptors or buffer memory ran out; any other accept error
+    /// only costs the connection it belonged to.
+    fn accept_ready(&mut self, listener: &TcpListener) -> bool {
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {
@@ -417,12 +442,16 @@ impl Reactor<'_> {
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
                 {
-                    return Ok(())
+                    return false
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                // Fatal listener errors stop the server, like the threads
-                // front end.
-                Err(e) => return Err(e),
+                Err(e) if sys::out_of_resources(&e) => {
+                    self.shared.metrics.accept_backoffs.inc();
+                    return true;
+                }
+                // The failed accept already consumed that connection; the
+                // next poll round picks up any others still pending.
+                Err(_) => return false,
             }
         }
     }
@@ -521,8 +550,7 @@ impl Reactor<'_> {
         };
         if conn.read_buf.len() > self.shared.cfg.max_request_bytes {
             // An over-long partial frame can never complete; framing is
-            // lost, so report and hang up (same contract as the threads
-            // model).
+            // lost, so report and hang up.
             let max = self.shared.cfg.max_request_bytes;
             self.complete_local(
                 token,

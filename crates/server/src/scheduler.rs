@@ -19,6 +19,13 @@
 //! to *that request's* trace carries the shared batch span id — so two
 //! merged requests keep distinct trace ids while both point at the one
 //! batch that served them.
+//!
+//! Durability: a load or `store(...)` query is applied only after its WAL
+//! record is appended and fsynced. The first failed append latches: that
+//! job and every later load, `store(...)` query and checkpoint are refused
+//! with `ERR durability`, while read-only queries keep being served. An
+//! append after a torn frame would turn the tail into mid-log corruption,
+//! which recovery refuses, and a failed fsync is never retried.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
@@ -27,12 +34,44 @@ use std::time::{Duration, Instant};
 
 use systolic_machine::{Expr, MachineError, RunStats, System, Timeline};
 use systolic_relation::{DomainKind, MultiRelation};
-use systolic_storage::StorageEngine;
+use systolic_storage::{StorageEngine, StorageError};
 use systolic_telemetry::{root_span, span_in, TraceCtx};
 
 use crate::engine::{kind_name, store_names};
 use crate::metrics::ServerMetrics;
+use crate::protocol::err_frame;
 use crate::server::{Counters, DurableStats};
+
+/// Why the scheduler failed or refused a job: the kind and detail of the
+/// `ERR` frame the client gets.
+#[derive(Debug)]
+pub(crate) struct JobError {
+    kind: &'static str,
+    detail: String,
+}
+
+impl JobError {
+    fn durability(detail: String) -> JobError {
+        JobError {
+            kind: "durability",
+            detail,
+        }
+    }
+
+    /// The `ERR` frame answering the request.
+    pub(crate) fn frame(&self) -> String {
+        err_frame(self.kind, &self.detail)
+    }
+}
+
+impl From<MachineError> for JobError {
+    fn from(e: MachineError) -> Self {
+        JobError {
+            kind: "machine",
+            detail: e.to_string(),
+        }
+    }
+}
 
 /// A query waiting in a merged batch: its expression and source text, the
 /// submitting request's trace, its timeout fence, the reply channel, and the
@@ -42,7 +81,7 @@ struct PendingQuery {
     text: String,
     trace: Option<TraceCtx>,
     fence: Arc<AtomicBool>,
-    reply: SyncSender<Result<QueryReply, MachineError>>,
+    reply: SyncSender<Result<QueryReply, JobError>>,
     /// When the submitting worker handed the job to the scheduler.
     submitted: Instant,
     /// Host ns from submission to admission (queue + gather window).
@@ -58,6 +97,8 @@ struct PendingQuery {
 pub(crate) struct Durable {
     pub(crate) engine: StorageEngine,
     pub(crate) stats: Arc<DurableStats>,
+    /// The first failed append's error; once set, every write is refused.
+    pub(crate) failed: Option<String>,
 }
 
 impl Durable {
@@ -70,33 +111,62 @@ impl Durable {
             .store(self.engine.wal_records() as u64, Ordering::SeqCst);
     }
 
-    /// Write-ahead a load. A failed append degrades durability, not
-    /// service: the load still lands and the client is still answered.
-    fn log_load(&mut self, name: &str, kinds: &[DomainKind], csv: &str) {
-        let kinds: Vec<String> = kinds.iter().map(|&k| kind_name(k).to_string()).collect();
-        if let Err(e) = self.engine.log_load(name, &kinds, csv) {
-            eprintln!("wal: failed to log load {name:?}: {e}");
+    /// The refusal every write gets once an append has failed.
+    fn refusal(&self) -> Option<JobError> {
+        self.failed.as_ref().map(|first| {
+            JobError::durability(format!(
+                "writes are refused since a WAL append failed: {first}"
+            ))
+        })
+    }
+
+    /// Run one append, latching its failure. `Ok` means the record is
+    /// fsynced and the job may be applied.
+    fn append(
+        &mut self,
+        what: &str,
+        append: impl FnOnce(&mut StorageEngine) -> Result<u64, StorageError>,
+    ) -> Result<(), JobError> {
+        if let Some(refusal) = self.refusal() {
+            return Err(refusal);
         }
+        let outcome = append(&mut self.engine);
         self.refresh();
+        outcome.map(drop).map_err(|e| {
+            eprintln!("wal: failed to log {what}: {e}; refusing all writes from now on");
+            self.failed = Some(e.to_string());
+            JobError::durability(format!("WAL append failed: {e}"))
+        })
+    }
+
+    /// Write-ahead a load.
+    fn log_load(&mut self, name: &str, kinds: &[DomainKind], csv: &str) -> Result<(), JobError> {
+        let kinds: Vec<String> = kinds.iter().map(|&k| kind_name(k).to_string()).collect();
+        self.append(&format!("load {name:?}"), |engine| {
+            engine.log_load(name, &kinds, csv)
+        })
     }
 
     /// Write-ahead a query, but only when it has `store(...)` side effects —
     /// read-only queries change no durable state and replay would only
     /// slow recovery down.
-    fn log_query(&mut self, expr: &Expr, text: &str) {
+    fn log_query(&mut self, expr: &Expr, text: &str) -> Result<(), JobError> {
         if store_names(expr).is_empty() {
-            return;
+            return Ok(());
         }
-        if let Err(e) = self.engine.log_query(text) {
-            eprintln!("wal: failed to log query {text:?}: {e}");
-        }
-        self.refresh();
+        self.append(&format!("query {text:?}"), |engine| engine.log_query(text))
     }
 
     /// Snapshot the history and reset the log; returns (records, snapshot
     /// bytes).
-    fn checkpoint(&mut self) -> Result<(u64, u64), String> {
-        let report = self.engine.checkpoint().map_err(|e| e.to_string())?;
+    fn checkpoint(&mut self) -> Result<(u64, u64), JobError> {
+        if let Some(refusal) = self.refusal() {
+            return Err(refusal);
+        }
+        let report = self.engine.checkpoint().map_err(|e| JobError {
+            kind: "storage",
+            detail: e.to_string(),
+        })?;
         self.stats.checkpoints.fetch_add(1, Ordering::SeqCst);
         self.refresh();
         Ok((report.records as u64, report.bytes))
@@ -158,7 +228,7 @@ pub(crate) enum Job {
         fence: Arc<AtomicBool>,
         /// Where to deliver the answer; capacity-1 channel so the send
         /// never blocks even if the worker gave up waiting.
-        reply: SyncSender<Result<QueryReply, MachineError>>,
+        reply: SyncSender<Result<QueryReply, JobError>>,
         /// When the worker submitted the job (host clock; feeds the
         /// profile's queue-wait, never pulse accounting).
         submitted: Instant,
@@ -176,13 +246,13 @@ pub(crate) enum Job {
         csv: String,
         /// Timeout fence, shared with the submitting worker (see [`claim`]).
         fence: Arc<AtomicBool>,
-        /// Acknowledgement carrying the row count.
-        reply: SyncSender<usize>,
+        /// Acknowledgement carrying the row count, or the refusal.
+        reply: SyncSender<Result<usize, JobError>>,
     },
     /// Snapshot the durable history and reset the WAL.
     Checkpoint {
-        /// Delivers (records, snapshot bytes) or the rendered error.
-        reply: SyncSender<Result<(u64, u64), String>>,
+        /// Delivers (records, snapshot bytes) or the error.
+        reply: SyncSender<Result<(u64, u64), JobError>>,
     },
 }
 
@@ -232,20 +302,27 @@ pub(crate) fn run(
                         continue;
                     }
                     // Write-ahead: the log record lands (and is fsynced)
-                    // before the relation reaches the machine.
+                    // before the relation reaches the machine; a load the
+                    // log refused never reaches it.
                     if let Some(d) = durable.as_mut() {
-                        d.log_load(&name, &kinds, &csv);
+                        if let Err(e) = d.log_load(&name, &kinds, &csv) {
+                            let _ = reply.send(Err(e));
+                            continue;
+                        }
                     }
                     let rows = rel.len();
                     system.load_base(name, rel);
                     counters.update(|c| c.loads += 1);
                     metrics.loads.inc();
-                    let _ = reply.send(rows);
+                    let _ = reply.send(Ok(rows));
                 }
                 Job::Checkpoint { reply } => {
                     let answer = match durable.as_mut() {
                         Some(d) => d.checkpoint(),
-                        None => Err("server is running without --data-dir".to_string()),
+                        None => Err(JobError {
+                            kind: "not_durable",
+                            detail: "server is running without --data-dir".to_string(),
+                        }),
                     };
                     let _ = reply.send(answer);
                 }
@@ -296,31 +373,25 @@ pub(crate) fn run(
         for q in &mut queries {
             q.queue_wait_ns = q.submitted.elapsed().as_nanos() as u64;
         }
-        // Write-ahead the admitted queries' side effects in admission
-        // order — the order the merged run's write-backs are equivalent to
-        // (hazard analysis deferred anything that could tell the
-        // difference).
-        if let Some(d) = durable.as_mut() {
-            for q in &mut queries {
-                let logged = Instant::now();
-                d.log_query(&q.expr, &q.text);
-                q.wal_fsync_ns = logged.elapsed().as_nanos() as u64;
-            }
-        }
         let n = queries.len();
         counters.update(|c| c.queries += n as u64);
         metrics.queries.add(n as u64);
-        if n > 0 {
-            metrics.batch_size.observe(n as u64);
+        // Write-ahead the admitted queries' side effects in admission
+        // order — the order the merged run's write-backs are equivalent to
+        // (hazard analysis deferred anything that could tell the
+        // difference). A query the log refused is answered and never runs.
+        if let Some(d) = durable.as_mut() {
+            queries.retain_mut(|q| q.write_ahead(d));
+        }
+        if !queries.is_empty() {
+            metrics.batch_size.observe(queries.len() as u64);
         }
         match queries.len() {
             0 => {}
             1 => {
                 let q = queries.pop().expect("len checked");
                 let _span = span_in(q.trace, "server.run_solo");
-                let _ = q
-                    .reply
-                    .send(run_solo(&mut system, &q.expr, &metrics).map(|r| q.host_waits(r)));
+                q.answer_solo(&mut system, &metrics);
             }
             n => {
                 counters.update(|c| {
@@ -336,27 +407,45 @@ pub(crate) fn run(
                 continue;
             }
             q.queue_wait_ns = q.submitted.elapsed().as_nanos() as u64;
-            if let Some(d) = durable.as_mut() {
-                let logged = Instant::now();
-                d.log_query(&q.expr, &q.text);
-                q.wal_fsync_ns = logged.elapsed().as_nanos() as u64;
-            }
             counters.update(|c| c.queries += 1);
             metrics.queries.add(1);
+            if let Some(d) = durable.as_mut() {
+                if !q.write_ahead(d) {
+                    continue;
+                }
+            }
             let _span = span_in(q.trace, "server.run_solo");
-            let _ = q
-                .reply
-                .send(run_solo(&mut system, &q.expr, &metrics).map(|r| q.host_waits(r)));
+            q.answer_solo(&mut system, &metrics);
         }
     }
 }
 
 impl PendingQuery {
-    /// Stamp the host-side waits measured for this job onto its reply.
-    fn host_waits(&self, mut reply: QueryReply) -> QueryReply {
-        reply.queue_wait_ns = self.queue_wait_ns;
-        reply.wal_fsync_ns = self.wal_fsync_ns;
-        reply
+    /// Write-ahead this query's side effects, timing the append. Returns
+    /// `false` after answering the refusal when the log did not take it:
+    /// the query must then not run.
+    fn write_ahead(&mut self, durable: &mut Durable) -> bool {
+        let logged = Instant::now();
+        let outcome = durable.log_query(&self.expr, &self.text);
+        self.wal_fsync_ns = logged.elapsed().as_nanos() as u64;
+        match outcome {
+            Ok(()) => true,
+            Err(e) => {
+                let _ = self.reply.send(Err(e));
+                false
+            }
+        }
+    }
+
+    /// Run this query alone and answer it, stamping the host-side waits
+    /// measured for it onto the reply.
+    fn answer_solo(&self, system: &mut System, metrics: &ServerMetrics) {
+        let reply = run_solo(system, &self.expr, metrics).map(|mut r| {
+            r.queue_wait_ns = self.queue_wait_ns;
+            r.wal_fsync_ns = self.wal_fsync_ns;
+            r
+        });
+        let _ = self.reply.send(reply.map_err(JobError::from));
     }
 }
 
@@ -476,9 +565,7 @@ fn run_merged(
             // not re-claim (it would see `true` and wrongly skip).
             for q in queries.drain(..) {
                 let _span = span_in(q.trace, "server.run_solo");
-                let _ = q
-                    .reply
-                    .send(run_solo(system, &q.expr, metrics).map(|r| q.host_waits(r)));
+                q.answer_solo(system, metrics);
             }
         }
     }
@@ -527,7 +614,7 @@ mod tests {
         name: &str,
         rel: MultiRelation,
         f: Arc<AtomicBool>,
-        reply: SyncSender<usize>,
+        reply: SyncSender<Result<usize, JobError>>,
     ) -> Job {
         Job::Load {
             name: name.into(),
@@ -542,7 +629,7 @@ mod tests {
     fn query_job(
         text: &str,
         f: Arc<AtomicBool>,
-        reply: SyncSender<Result<QueryReply, MachineError>>,
+        reply: SyncSender<Result<QueryReply, JobError>>,
     ) -> Job {
         Job::Query {
             expr: parse(text).unwrap(),
@@ -570,7 +657,7 @@ mod tests {
             dead_rx.try_recv().is_err(),
             "a fenced load must never be acknowledged"
         );
-        assert_eq!(live_rx.try_recv().unwrap(), 2);
+        assert_eq!(live_rx.try_recv().unwrap().unwrap(), 2);
         assert_eq!(counters.snapshot().loads, 1, "only the live load lands");
     }
 

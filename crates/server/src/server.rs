@@ -1,30 +1,30 @@
-//! The TCP service: bounded worker pool, session loop, graceful shutdown.
+//! The TCP service: configuration, startup and crash recovery, the request
+//! dispatcher, and graceful shutdown.
 //!
-//! Plain `std::net` blocking sockets — no async runtime. The accept loop is
-//! nonblocking and polls a stop flag; connections use short read timeouts
-//! so every thread notices shutdown within ~100ms and drains: in-flight
-//! requests are answered, idle sessions get `BYE`, new work is refused with
-//! `ERR shutting_down`, and queued-but-unserved connections are still
-//! picked up and told the same.
+//! Connections are served by the poll(2) reactor (`reactor.rs`): one
+//! thread multiplexes every socket, and a bounded worker pool runs the
+//! dispatcher (`handle_request`) on complete request frames. No async
+//! runtime. On shutdown in-flight requests are answered, idle sessions get
+//! `BYE`, and new work is refused with `ERR shutting_down`. The reactor
+//! needs poll(2), so on targets without it [`spawn`] and [`run`] fail with
+//! [`io::ErrorKind::Unsupported`].
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use systolic_machine::{Expr, MachineConfig, Plan, System};
 use systolic_storage::{LockMode, LockTable, ReplacerKind, StorageEngine, WalRecord};
-use systolic_telemetry::batch::SpanData;
 use systolic_telemetry::metrics::QuantileSummary;
-use systolic_telemetry::{record_between, root_span, TraceCtx};
+use systolic_telemetry::{root_span, TraceCtx};
 
 use crate::engine::{self, EngineError, Store};
-use crate::frame::{read_frame, FrameRead};
 use crate::locks;
 use crate::metrics::ServerMetrics;
 use crate::profile::{self, FlightRecorder, QueryProfile};
@@ -35,35 +35,22 @@ use crate::protocol::{
 use crate::scheduler::{self, Job};
 use crate::shutdown;
 
-/// Which connection front end the server runs.
+/// The connection front end. The poll(2) reactor is the only one: a single
+/// thread multiplexes every connection (an idle session costs one pollfd)
+/// and dispatches complete request frames to the worker pool. Connections
+/// may pipeline requests; responses come back in request order per
+/// connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoModel {
-    /// One worker thread per active connection (the classic model): simple,
-    /// but idle connections hold threads and concurrency is capped at the
-    /// pool size.
-    Threads,
-    /// A single poll(2)-based reactor thread multiplexes every connection —
-    /// thousands of idle sessions cost one pollfd each — and dispatches
-    /// complete request frames to the worker pool. Connections may pipeline
-    /// requests; responses come back in request order per connection.
+    /// The poll(2) reactor.
     Poll,
 }
 
 impl IoModel {
-    /// The CLI/wire name of this model.
+    /// The name printed for this front end.
     pub fn label(&self) -> &'static str {
         match self {
-            IoModel::Threads => "threads",
             IoModel::Poll => "poll",
-        }
-    }
-
-    /// Parse a CLI/wire name.
-    pub fn parse(s: &str) -> Option<IoModel> {
-        match s {
-            "threads" => Some(IoModel::Threads),
-            "poll" => Some(IoModel::Poll),
-            _ => None,
         }
     }
 }
@@ -73,13 +60,14 @@ impl IoModel {
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:4171` (`:0` picks a free port).
     pub addr: String,
-    /// Worker threads — the number of connections served simultaneously.
+    /// Worker threads: how many request frames are served at once.
     pub workers: usize,
-    /// Accepted connections allowed to wait for a free worker before new
-    /// ones are refused with `ERR overloaded`.
+    /// Request frames allowed to wait for a free worker. Once `workers +
+    /// max_pending` frames are in flight, further frames are answered
+    /// `ERR overloaded` (in pipeline order) until some complete.
     pub max_pending: usize,
-    /// The connection front end: classic thread-per-connection or the
-    /// poll(2) reactor.
+    /// The connection front end; [`IoModel::Poll`] is the only one. Kept
+    /// only until the benchmark's pinned config stops naming it.
     pub io: IoModel,
     /// Must be 1: every server runs exactly one `System`. Kept only until
     /// the benchmark's pinned config stops setting it; [`spawn`] and [`run`]
@@ -134,7 +122,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:4171".to_string(),
             workers: 32,
             max_pending: 32,
-            io: IoModel::Threads,
+            io: IoModel::Poll,
             shards: 1,
             machine: MachineConfig::default(),
             request_timeout: Duration::from_secs(30),
@@ -215,11 +203,13 @@ pub struct ServerReport {
     pub batches: u64,
     /// Largest batch admitted.
     pub max_batch: u64,
-    /// Connections refused because the pool was full.
+    /// Request frames shed with `ERR overloaded` because `workers +
+    /// max_pending` frames were already in flight.
     pub refused: u64,
     /// Requests that hit the per-request timeout.
     pub timeouts: u64,
-    /// High-water mark of the connection wait queue.
+    /// High-water mark of request frames in flight (queued or being
+    /// served).
     pub queue_hwm: u64,
     /// Queries slower than the slow-query threshold.
     pub slow_queries: u64,
@@ -263,6 +253,12 @@ const PLAN_CACHE_CAP: usize = 1024;
 
 impl Shared {
     fn new(cfg: ServerConfig) -> io::Result<Self> {
+        if cfg!(not(unix)) {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "the server's poll(2) front end needs a unix target",
+            ));
+        }
         if cfg.shards != 1 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -310,57 +306,6 @@ impl Shared {
             plan_cache_hits: c.plan_cache_hits,
             cse_hits: c.cse_hits,
         }
-    }
-}
-
-/// Accepted connections waiting for a worker.
-#[derive(Default)]
-struct ConnQueue {
-    inner: Mutex<QueueInner>,
-    ready: Condvar,
-}
-
-#[derive(Default)]
-struct QueueInner {
-    conns: VecDeque<(TcpStream, Instant)>,
-    closed: bool,
-}
-
-impl ConnQueue {
-    /// Enqueue a connection (stamped with its arrival time, so the worker
-    /// that picks it up can record the queue wait) and return the new depth.
-    fn push(&self, stream: TcpStream) -> usize {
-        let mut inner = locks::lock(&self.inner);
-        inner.conns.push_back((stream, Instant::now()));
-        let depth = inner.conns.len();
-        drop(inner);
-        self.ready.notify_one();
-        depth
-    }
-
-    /// Next connection plus its enqueue time, blocking; `None` once closed
-    /// *and* drained, so connections queued before shutdown still get
-    /// served (and refused politely).
-    fn pop(&self) -> Option<(TcpStream, Instant)> {
-        let mut inner = locks::lock(&self.inner);
-        loop {
-            if let Some(entry) = inner.conns.pop_front() {
-                return Some(entry);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = locks::wait(&self.ready, inner);
-        }
-    }
-
-    fn close(&self) {
-        locks::lock(&self.inner).closed = true;
-        self.ready.notify_all();
-    }
-
-    fn len(&self) -> usize {
-        locks::lock(&self.inner).conns.len()
     }
 }
 
@@ -466,6 +411,7 @@ fn serve_on(
             Some(scheduler::Durable {
                 engine,
                 stats: Arc::clone(stats),
+                failed: None,
             })
         }
         None => None,
@@ -489,12 +435,13 @@ fn serve_on(
                 durable,
             )
         });
-        let outcome = match shared.cfg.io {
-            IoModel::Threads => threads_front_end(scope, &listener, &shared, tx),
-            #[cfg(unix)]
-            IoModel::Poll => crate::reactor::serve(scope, &listener, &shared, tx),
-            #[cfg(not(unix))]
-            IoModel::Poll => threads_front_end(scope, &listener, &shared, tx),
+        #[cfg(unix)]
+        let outcome = crate::reactor::serve(scope, &listener, &shared, tx);
+        // `Shared::new` refuses targets without poll(2) before this point.
+        #[cfg(not(unix))]
+        let outcome: io::Result<()> = {
+            drop(tx);
+            Err(io::ErrorKind::Unsupported.into())
         };
         if let Err(e) = outcome {
             shared.stop.store(true, Ordering::SeqCst);
@@ -503,8 +450,7 @@ fn serve_on(
     });
     if let (Some(path), Some(collector)) = (&shared.cfg.trace_out, trace_collector) {
         systolic_telemetry::uninstall();
-        let spans: Vec<SpanData> = collector.drain().iter().map(SpanData::from).collect();
-        let trace = profile::server_trace(&spans, &shared.recorder.profiles());
+        let trace = profile::server_trace(&collector.drain(), &shared.recorder.profiles());
         if let Err(e) = trace.write_to(path) {
             eprintln!("trace-out: failed to write {}: {e}", path.display());
         }
@@ -559,93 +505,6 @@ fn replay(shared: &Shared, system: &mut System, records: &[WalRecord]) {
     }
 }
 
-/// The classic front end: a connection queue feeding thread-per-connection
-/// workers. Returns when the stop flag is raised (or with the fatal
-/// listener error), after closing the queue so workers drain and exit.
-fn threads_front_end<'scope>(
-    scope: &'scope thread::Scope<'scope, '_>,
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    tx: mpsc::Sender<Job>,
-) -> io::Result<()> {
-    let queue = Arc::new(ConnQueue::default());
-    let workers = shared.cfg.workers.max(1);
-    for _ in 0..workers {
-        let queue = Arc::clone(&queue);
-        let shared = Arc::clone(shared);
-        let tx = tx.clone();
-        scope.spawn(move || worker_loop(&queue, &shared, &tx));
-    }
-    // Workers now hold the only senders the scheduler waits on: once
-    // the queue closes and they exit, the scheduler's channel hangs up
-    // and it exits too, so the scope join is deadlock-free.
-    drop(tx);
-    let mut result = Ok(());
-    loop {
-        if shared.stopping() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let busy = shared.active.load(Ordering::SeqCst) + queue.len();
-                if busy >= workers + shared.cfg.max_pending {
-                    shared.counters.update(|c| c.refused += 1);
-                    shared.metrics.refused.inc();
-                    refuse(stream);
-                } else {
-                    let depth = queue.push(stream) as u64;
-                    shared.metrics.queue_depth.set(depth as f64);
-                    shared.metrics.queue_depth_hwm.set_max(depth as f64);
-                    shared
-                        .counters
-                        .update(|c| c.queue_hwm = c.queue_hwm.max(depth));
-                }
-            }
-            // Nonblocking "nothing to accept" is `WouldBlock` on Unix
-            // but `TimedOut` on some platforms — treat both as idle.
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                shared.stop.store(true, Ordering::SeqCst);
-                result = Err(e);
-                break;
-            }
-        }
-    }
-    queue.close();
-    result
-}
-
-fn refuse(stream: TcpStream) {
-    let mut stream = stream;
-    let _ = writeln!(
-        stream,
-        "{}",
-        err_frame("overloaded", "server is at capacity")
-    );
-    let _ = stream.flush();
-}
-
-fn worker_loop(queue: &ConnQueue, shared: &Shared, tx: &mpsc::Sender<Job>) {
-    while let Some((stream, enqueued)) = queue.pop() {
-        shared.metrics.queue_depth.set(queue.len() as f64);
-        record_between("server.queue_wait", None, enqueued, Instant::now());
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        let _ = serve_conn(stream, shared, tx);
-        shared.active.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn send(stream: &mut TcpStream, frame: &str) -> io::Result<()> {
-    stream.write_all(frame.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
-}
-
 fn engine_err_frame(err: &EngineError) -> String {
     match err {
         EngineError::Parse { err, query } => parse_err_frame(err, query),
@@ -680,10 +539,9 @@ impl Reply {
     }
 }
 
-/// Serve one request line: the dispatcher both connection front ends (the
-/// thread-per-connection loop and the poll reactor's worker pool) share, so
-/// protocol semantics cannot drift between the two I/O models. Blocking is
-/// allowed here — callers run it on worker threads, never on the reactor.
+/// Serve one request line. The reactor's worker pool runs this on every
+/// complete frame; blocking is allowed here because it never runs on the
+/// reactor thread itself.
 pub(crate) fn handle_request(shared: &Shared, tx: &mpsc::Sender<Job>, line: &str) -> Reply {
     let request = match parse_request(line) {
         Ok(request) => request,
@@ -724,7 +582,7 @@ fn handle_checkpoint(shared: &Shared, tx: &mpsc::Sender<Job>) -> String {
     }
     match reply_rx.recv_timeout(shared.cfg.request_timeout) {
         Ok(Ok((records, bytes))) => checkpointed_frame(records, bytes),
-        Ok(Err(detail)) => err_frame("storage", &detail),
+        Ok(Err(e)) => e.frame(),
         Err(RecvTimeoutError::Timeout) => {
             shared.counters.update(|c| c.timeouts += 1);
             shared.metrics.timeouts.inc();
@@ -736,9 +594,7 @@ fn handle_checkpoint(shared: &Shared, tx: &mpsc::Sender<Job>) -> String {
 
 /// Answer a `QUERY` (`RESULT` + `HOST`) or, with `with_profile`, a
 /// `PROFILE` (`RESULT` + `PROFILE` + `HOST`) under the request span, latency
-/// histogram, flight recorder, and slow-query log. Both connection front
-/// ends route every query through here, so the slow-query log and the
-/// recorder fire identically under `--io threads` and `--io poll`.
+/// histogram, flight recorder, and slow-query log.
 fn respond_query(
     shared: &Shared,
     tx: &mpsc::Sender<Job>,
@@ -785,44 +641,6 @@ fn respond_query(
     Reply {
         frames,
         close: false,
-    }
-}
-
-fn serve_conn(mut stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Job>) -> io::Result<()> {
-    // Short read timeout: between frames every session polls the stop flag,
-    // so shutdown drains idle connections instead of hanging on them.
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut partial = Vec::new();
-    loop {
-        let line = match read_frame(&mut reader, &mut partial, shared.cfg.max_request_bytes)? {
-            FrameRead::TimedOut => {
-                if shared.stopping() {
-                    send(&mut stream, "BYE")?;
-                    return Ok(());
-                }
-                continue;
-            }
-            FrameRead::Closed => return Ok(()),
-            FrameRead::TooLong => {
-                // Framing is lost once we stop mid-line; report and hang up.
-                let frame = err_frame(
-                    "too_large",
-                    &format!("frame exceeds {} bytes", shared.cfg.max_request_bytes),
-                );
-                send(&mut stream, &frame)?;
-                return Ok(());
-            }
-            FrameRead::Frame(line) => line,
-        };
-        let reply = handle_request(shared, tx, &line);
-        for frame in &reply.frames {
-            send(&mut stream, frame)?;
-        }
-        if reply.close {
-            return Ok(());
-        }
     }
 }
 
@@ -949,16 +767,16 @@ fn handle_load(
         locks::write(&shared.store).unregister(name);
         return err_frame("shutting_down", "scheduler has exited");
     }
-    match reply_rx.recv_timeout(shared.cfg.request_timeout) {
-        Ok(rows) => loaded_frame(name, rows),
+    let answer = match reply_rx.recv_timeout(shared.cfg.request_timeout) {
+        Ok(answer) => answer,
         Err(RecvTimeoutError::Timeout) => {
             if fence.swap(true, Ordering::SeqCst) {
                 // The scheduler claimed the fence first: the load is landing
                 // (or has landed) on the machine, so wait for the real
                 // acknowledgement rather than telling the client a lie.
                 match reply_rx.recv() {
-                    Ok(rows) => loaded_frame(name, rows),
-                    Err(_) => err_frame("shutting_down", "scheduler exited mid-load"),
+                    Ok(answer) => answer,
+                    Err(_) => return err_frame("shutting_down", "scheduler exited mid-load"),
                 }
             } else {
                 // We won: the scheduler will skip the job, so the relation
@@ -967,14 +785,24 @@ fn handle_load(
                 locks::write(&shared.store).unregister(name);
                 shared.counters.update(|c| c.timeouts += 1);
                 shared.metrics.timeouts.inc();
-                err_frame("timeout", "load timed out")
+                return err_frame("timeout", "load timed out");
             }
         }
         Err(RecvTimeoutError::Disconnected) => {
             // Scheduler died without acknowledging; the load may or may not
             // have landed, but no client was told it did — drop it.
             locks::write(&shared.store).unregister(name);
-            err_frame("shutting_down", "scheduler has exited")
+            return err_frame("shutting_down", "scheduler has exited");
+        }
+    };
+    match answer {
+        Ok(rows) => loaded_frame(name, rows),
+        Err(e) => {
+            // The scheduler refused the load (its WAL append failed), so
+            // the relation never reached the machine: undo the
+            // registration as the timeout fence does.
+            locks::write(&shared.store).unregister(name);
+            e.frame()
         }
     }
 }
@@ -1135,9 +963,7 @@ fn handle_query(
     };
     let reply = match reply {
         Ok(reply) => reply,
-        Err(machine_err) => {
-            return (vec![err_frame("machine", &machine_err.to_string())], None);
-        }
+        Err(e) => return (vec![e.frame()], None),
     };
     let csv = match locks::read(&shared.store).render_csv(&reply.result) {
         Ok(csv) => csv,

@@ -13,6 +13,8 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use crate::span::SpanRecord;
+
 /// Conventional pid for the simulated-machine track group.
 pub const PID_SIMULATED: u32 = 1;
 /// Conventional pid for the host wall-clock track group.
@@ -126,6 +128,42 @@ impl ChromeTrace {
             dur_ns,
             args,
         });
+    }
+
+    /// Put collected host spans on the [`PID_HOST`] track: one thread row
+    /// per recording thread (in name order), and each span a complete event
+    /// whose args carry its trace, span and parent ids and its annotations.
+    pub fn host_spans(&mut self, spans: &[SpanRecord]) {
+        let mut threads: Vec<&str> = spans.iter().map(|s| s.thread.as_str()).collect();
+        threads.sort_unstable();
+        threads.dedup();
+        for (i, thread) in threads.iter().enumerate() {
+            self.set_thread_name(PID_HOST, i as u32 + 1, thread);
+        }
+        for span in spans {
+            let tid = threads
+                .binary_search(&span.thread.as_str())
+                .expect("thread indexed above") as u32
+                + 1;
+            let mut args = vec![
+                ("trace_id".to_string(), ArgValue::U64(span.trace_id)),
+                ("span_id".to_string(), ArgValue::U64(span.span_id)),
+            ];
+            if let Some(parent) = span.parent_id {
+                args.push(("parent_id".to_string(), ArgValue::U64(parent)));
+            }
+            for (k, v) in &span.args {
+                args.push((k.to_string(), ArgValue::Str(v.clone())));
+            }
+            self.complete(
+                PID_HOST,
+                tid,
+                span.name,
+                span.start_ns,
+                span.end_ns.saturating_sub(span.start_ns),
+                args,
+            );
+        }
     }
 
     /// Serialise to a Chrome trace JSON document.

@@ -16,7 +16,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod chrome;
 pub mod json;
 pub mod metrics;

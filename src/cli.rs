@@ -39,10 +39,8 @@ use systolic_core::ArrayLimits;
 use systolic_machine::{Backend, MachineConfig, MachineError, ParseError, RunOutcome};
 use systolic_relation::{DomainKind, RelationError};
 use systolic_server::engine::kind_name;
-use systolic_server::{
-    Client, ClientError, Engine, EngineError, IoModel, ReplacerKind, ServerConfig,
-};
-use systolic_telemetry::chrome::{ArgValue, ChromeTrace, PID_HOST, PID_SIMULATED};
+use systolic_server::{Client, ClientError, Engine, EngineError, ReplacerKind, ServerConfig};
+use systolic_telemetry::chrome::{ChromeTrace, PID_HOST, PID_SIMULATED};
 use systolic_telemetry::{prom, SpanRecord};
 
 /// CLI errors.
@@ -186,10 +184,8 @@ pub struct ServeArgs {
     pub addr: String,
     /// Operator backend (as in [`CliArgs::backend`]).
     pub backend: Option<Backend>,
-    /// Connection worker threads.
+    /// Worker threads: how many request frames are served at once.
     pub workers: usize,
-    /// Connection front end: thread-per-connection or the poll(2) reactor.
-    pub io: IoModel,
     /// Admission window in milliseconds.
     pub batch_window_ms: u64,
     /// Slow-query log threshold in milliseconds; 0 disables the log.
@@ -217,7 +213,6 @@ impl Default for ServeArgs {
             addr: defaults.addr,
             backend: None,
             workers: defaults.workers,
-            io: defaults.io,
             batch_window_ms: defaults.batch_window.as_millis() as u64,
             slow_query_ms: defaults
                 .slow_query
@@ -320,7 +315,7 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
 [--memory BYTES] QUERY
        sdb profile --table NAME=PATH:type,... [--stats] [--backend sim|columnar] QUERY
        sdb serve [--addr HOST:PORT] [--backend sim|columnar] [--workers N] \
-[--io threads|poll] [--batch-window MS] [--slow-query-ms MS] \
+[--batch-window MS] [--slow-query-ms MS] \
 [--data-dir DIR] [--pool-pages N] [--replacer clock|lru] [--trace-out FILE] \
 [--profile-history N] [--optimize on|off]
        sdb --connect HOST:PORT [--table NAME=PATH:type,...] [--stats] [--profile] \
@@ -350,10 +345,9 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
                max_b=B, max_cols=C (zeros allowed, to probe SA005)
   --memory BYTES: (check) analyze against memory modules of BYTES capacity
                (to probe the SA006 staging bound)
-  serve: run the concurrent query service until SIGINT/SIGTERM
-  --io M: serve connections thread-per-connection (threads, the default) or
-               through a single poll(2) reactor that multiplexes every
-               session and supports pipelined requests (poll)
+  serve: run the concurrent query service until SIGINT/SIGTERM; one poll(2)
+               reactor multiplexes every connection (requests may be
+               pipelined) and --workers threads serve the request frames
   --slow-query-ms MS: log queries slower than MS to stderr (0 disables)
   --data-dir DIR: persist loads and store(...) queries to a write-ahead log
                under DIR and recover them (byte-identically) on restart
@@ -459,12 +453,6 @@ fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, CliError> {
             "--workers" => {
                 let value = flag_value("--workers", &mut it)?;
                 args.workers = parse_number("--workers", value)?.max(1);
-            }
-            "--io" => {
-                let value = flag_value("--io", &mut it)?;
-                args.io = IoModel::parse(value).ok_or_else(|| {
-                    CliError::Usage(format!("--io expects threads or poll, got {value:?}"))
-                })?;
             }
             "--batch-window" => {
                 let value = flag_value("--batch-window", &mut it)?;
@@ -763,33 +751,7 @@ fn build_chrome_trace(out: &RunOutcome, spans: &[SpanRecord]) -> ChromeTrace {
     out.timeline
         .to_chrome(&mut trace, PID_SIMULATED, "simulated machine (pulse time)");
     trace.set_process_name(PID_HOST, "host (wall time)");
-    let mut threads: Vec<&str> = spans.iter().map(|s| s.thread.as_str()).collect();
-    threads.sort_unstable();
-    threads.dedup();
-    for (i, t) in threads.iter().enumerate() {
-        trace.set_thread_name(PID_HOST, i as u32 + 1, t);
-    }
-    for s in spans {
-        let tid = threads
-            .binary_search(&s.thread.as_str())
-            .expect("thread indexed above") as u32
-            + 1;
-        let mut args = vec![
-            ("trace_id".to_string(), ArgValue::U64(s.trace_id)),
-            ("span_id".to_string(), ArgValue::U64(s.span_id)),
-        ];
-        for (k, v) in &s.args {
-            args.push((k.to_string(), ArgValue::Str(v.clone())));
-        }
-        trace.complete(
-            PID_HOST,
-            tid,
-            s.name,
-            s.start_ns,
-            s.end_ns - s.start_ns,
-            args,
-        );
-    }
+    trace.host_spans(spans);
     trace
 }
 
@@ -871,7 +833,6 @@ fn run_serve(args: &ServeArgs) -> Result<(), CliError> {
     systolic_server::run(ServerConfig {
         addr: args.addr.clone(),
         workers: args.workers,
-        io: args.io,
         machine,
         batch_window: Duration::from_millis(args.batch_window_ms),
         slow_query: match args.slow_query_ms {
@@ -1117,8 +1078,6 @@ mod tests {
             "8",
             "--batch-window",
             "5",
-            "--io",
-            "poll",
         ]))
         .unwrap()
         {
@@ -1126,13 +1085,11 @@ mod tests {
                 assert_eq!(s.addr, "127.0.0.1:0");
                 assert_eq!(s.workers, 8);
                 assert_eq!(s.batch_window_ms, 5);
-                assert_eq!(s.io, IoModel::Poll);
             }
             other => panic!("expected serve, got {other:?}"),
         }
         match parse_command(&argv(&["serve"])).unwrap() {
             Command::Serve(s) => {
-                assert_eq!(s.io, IoModel::Threads, "threads is the default front end");
                 assert_eq!(s.data_dir, None, "in-memory by default");
                 assert_eq!(s.replacer, ReplacerKind::Clock);
             }
@@ -1167,15 +1124,13 @@ mod tests {
             }
             other => panic!("expected connect, got {other:?}"),
         }
-        assert!(matches!(
-            parse_command(&argv(&["serve", "--io", "epoll"])),
-            Err(CliError::Usage(_))
-        ));
-        match parse_command(&argv(&["serve", "--shards", "2"])) {
-            Err(CliError::Usage(msg)) => {
-                assert!(msg.starts_with("unexpected serve argument"), "{msg}")
+        for removed in [["--shards", "2"], ["--io", "poll"], ["--io", "threads"]] {
+            match parse_command(&argv(&["serve", removed[0], removed[1]])) {
+                Err(CliError::Usage(msg)) => {
+                    assert!(msg.starts_with("unexpected serve argument"), "{msg}")
+                }
+                other => panic!("{} must be an unknown flag, got {other:?}", removed[0]),
             }
-            other => panic!("--shards must be an unknown flag, got {other:?}"),
         }
         match parse_command(&argv(&[
             "--connect",
@@ -1589,6 +1544,14 @@ mod tests {
             .collect();
         assert!(host_names.contains(&"machine.run"), "{host_names:?}");
         assert!(host_names.contains(&"machine.execute"), "{host_names:?}");
+        // Nested host spans name their parent, as on the server's trace.
+        assert!(
+            events
+                .iter()
+                .filter(|e| pid_of(e) == PID_HOST as u64)
+                .any(|e| e.get("args").and_then(|a| a.get("parent_id")).is_some()),
+            "no host span carries a parent_id"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
